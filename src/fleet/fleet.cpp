@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -39,6 +38,42 @@ FleetEventKind kind_from_name(const std::string& name) {
     }
     throw Error(Errc::FleetJournalError, "unknown fleet event kind '" + name + "'");
 }
+
+/// One fleet.log record: the event as a JSON object.
+std::string encode_event(const FleetEvent& event) {
+    support::Json obj = support::Json::object();
+    obj.set("seq", static_cast<std::int64_t>(event.seq));
+    obj.set("kind", kind_name(event.kind));
+    obj.set("tenant", event.tenant);
+    obj.set("where", event.where);
+    obj.set("level", event.level);
+    obj.set("detail", event.detail);
+    return obj.dump();
+}
+
+FleetEvent decode_event(std::string_view payload) {
+    const support::Json obj = support::Json::parse(payload);
+    FleetEvent event;
+    event.seq = static_cast<std::uint64_t>(obj.get_int("seq", 0));
+    event.kind = kind_from_name(obj.get_string("kind", ""));
+    event.tenant = obj.get_string("tenant", "");
+    event.where = obj.get_string("where", "");
+    event.level = static_cast<int>(obj.get_int("level", 0));
+    event.detail = obj.get_string("detail", "");
+    return event;
+}
+
+bool decodable_event(std::string_view payload) {
+    try {
+        (void)decode_event(payload);
+        return true;
+    } catch (const std::exception&) {
+        return false;
+    }
+}
+
+constexpr support::LogFormat kFleetLog{"P4ALLFLT", 1, Errc::FleetJournalError,
+                                       &decodable_event};
 
 }  // namespace
 
@@ -80,6 +115,7 @@ FleetController::FleetController(FleetOptions options, std::vector<SwitchSpec> s
     // journals are what carry state across fleet generations.
     std::error_code ec;
     fs::remove(log_path(), ec);
+    log_ = std::make_unique<support::RecordLog>(log_path(), kFleetLog);
     for (auto& [name, tenant] : tenants_) {
         place_tenant(tenant, FleetEventKind::Admit, "initial placement");
     }
@@ -211,20 +247,7 @@ void FleetController::log_event(FleetEventKind kind, const std::string& tenant,
     event.level = level;
     event.detail = detail;
 
-    support::Json line = support::Json::object();
-    line.set("seq", static_cast<std::int64_t>(event.seq));
-    line.set("kind", kind_name(kind));
-    line.set("tenant", event.tenant);
-    line.set("where", event.where);
-    line.set("level", event.level);
-    line.set("detail", event.detail);
-    std::ofstream out(log_path(), std::ios::app);
-    out << line.dump() << '\n';
-    out.flush();
-    if (!out) {
-        throw Error(Errc::FleetJournalError,
-                    "cannot append to fleet log '" + log_path() + "'");
-    }
+    log_->append(encode_event(event));
     events_.push_back(std::move(event));
 }
 
@@ -640,41 +663,14 @@ std::unique_ptr<FleetController> FleetController::recover(FleetOptions options,
         RecoverTag{}, std::move(options), std::move(switches), std::move(tenants)));
     FleetRecoveryReport rep;
 
-    // Replay the decision log, dropping a torn tail (a crash mid-append
-    // must not poison later appends — truncate to the valid prefix).
+    // Replay the decision log. Opening it truncates a torn tail (a crash
+    // mid-append), so the events appended from here on stay readable.
+    support::LogScan scan;
+    fleet->log_ = std::make_unique<support::RecordLog>(fleet->log_path(), kFleetLog, &scan);
     std::vector<FleetEvent> replayed;
-    std::string valid_prefix;
-    {
-        std::ifstream in(fleet->log_path());
-        std::string line;
-        while (in && std::getline(in, line)) {
-            if (line.empty()) continue;
-            try {
-                const support::Json obj = support::Json::parse(line);
-                FleetEvent event;
-                event.seq = static_cast<std::uint64_t>(obj.get_int("seq", 0));
-                event.kind = kind_from_name(obj.get_string("kind", ""));
-                event.tenant = obj.get_string("tenant", "");
-                event.where = obj.get_string("where", "");
-                event.level = static_cast<int>(obj.get_int("level", 0));
-                event.detail = obj.get_string("detail", "");
-                replayed.push_back(std::move(event));
-                valid_prefix += line + "\n";
-            } catch (const std::exception& e) {
-                rep.log_clean = false;
-                rep.notes.push_back(std::string("torn fleet log tail truncated: ") + e.what());
-                break;
-            }
-        }
-    }
-    if (!rep.log_clean) {
-        const std::string tmp = fleet->log_path() + ".tmp";
-        std::ofstream out(tmp, std::ios::trunc);
-        out << valid_prefix;
-        out.close();
-        if (!out) throw Error(Errc::FleetJournalError, "cannot rewrite fleet log");
-        fs::rename(tmp, fleet->log_path());
-    }
+    for (const std::string& payload : scan.records) replayed.push_back(decode_event(payload));
+    rep.log_clean = scan.clean;
+    if (!scan.clean) rep.notes.push_back("torn fleet log tail truncated: " + scan.damage);
 
     struct Placement {
         std::string home;

@@ -29,12 +29,13 @@
 //   recover    when a switch rejoins, degraded tenants climb back toward
 //              their full profiles and parked tenants are readmitted.
 //
-// Every placement decision is journaled as a FleetEvent line in
-// journal_root/fleet.log (JSON lines, torn-tail tolerant), so
-// FleetController::recover() can rebuild the whole fleet — placements,
-// degradation levels, dead switches, parked tenants — after the controller
-// itself crashes, then re-derive each tenant's state from the tenant's own
-// journal. The chaos matrix in tests/fleet/chaos_test.cpp kills the
+// Every placement decision is journaled to journal_root/fleet.log, a
+// support::RecordLog with magic "P4ALLFLT": one checksummed, synced frame
+// per FleetEvent (its JSON object); a file without that header is rejected
+// with P4ALL-0506. FleetController::recover() rebuilds the whole fleet from
+// it — placements, degradation levels, dead switches, parked tenants — after
+// the controller itself crashes, then re-derives each tenant's state from
+// the tenant's own journal. The chaos matrix in tests/fleet/chaos_test.cpp kills the
 // controller at every `fleet.*` fault point and proves exactly that.
 //
 // Determinism: switches and tenants live in name-ordered maps, breakers and
@@ -55,6 +56,7 @@
 #include "runtime/drivers.hpp"
 #include "runtime/runtime.hpp"
 #include "support/backoff.hpp"
+#include "support/durable.hpp"
 
 namespace p4all::fleet {
 
@@ -252,6 +254,7 @@ private:
     std::map<std::string, Switch> switches_;
     std::map<std::string, Tenant> tenants_;
     FailureDetector detector_;
+    std::unique_ptr<support::RecordLog> log_;  ///< journal_root/fleet.log, held open
     std::vector<FleetEvent> events_;
     std::uint64_t seq_ = 0;
     std::uint64_t packets_routed_ = 0;

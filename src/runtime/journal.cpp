@@ -1,110 +1,51 @@
 #include "runtime/journal.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "support/error.hpp"
-#include "support/hash.hpp"
-
-#if defined(_WIN32)
-#include <io.h>
-#else
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace p4all::runtime {
 
 using support::Errc;
-using support::Error;
 
 namespace {
 
-constexpr char kMagic[8] = {'P', '4', 'A', 'L', 'L', 'J', 'N', 'L'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t);
 // payload = u8 type + 3 * u64 fixed fields + detail
 constexpr std::size_t kPayloadFixed = 1 + 3 * sizeof(std::uint64_t);
-// Profile text and rollback causes are short; anything bigger is corruption.
-constexpr std::size_t kMaxPayload = std::size_t{1} << 20;
 
-void put_u32(std::string& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
+/// A payload too short for the fixed fields, or with an unknown type, ends
+/// the valid prefix like a torn record.
+bool decodable(std::string_view payload) {
+    if (payload.size() < kPayloadFixed) return false;
+    const auto type = static_cast<std::uint8_t>(payload[0]);
+    return type >= static_cast<std::uint8_t>(JournalRecordType::Intent) &&
+           type <= static_cast<std::uint8_t>(JournalRecordType::Abort);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-std::uint32_t get_u32(const char* p) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-/// Order-sensitive checksum over the payload bytes. Seeded so an all-zero
-/// payload does not hash to the all-zero disk pattern a sparse file holds.
-std::uint64_t payload_checksum(const std::string& payload) {
-    std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const char c : payload) h = support::hash_word(static_cast<unsigned char>(c), h);
-    return h;
-}
-
-bool valid_type(std::uint8_t t) {
-    return t >= static_cast<std::uint8_t>(JournalRecordType::Intent) &&
-           t <= static_cast<std::uint8_t>(JournalRecordType::Abort);
-}
+constexpr support::LogFormat kFormat{"P4ALLJNL", 1, Errc::JournalError, &decodable};
 
 std::string encode_payload(const JournalRecord& record) {
     std::string payload;
     payload.reserve(kPayloadFixed + record.detail.size());
     payload += static_cast<char>(record.type);
-    put_u64(payload, record.seq);
-    put_u64(payload, record.epoch);
-    put_u64(payload, record.state_checksum);
+    support::put_u64(payload, record.seq);
+    support::put_u64(payload, record.epoch);
+    support::put_u64(payload, record.state_checksum);
     payload += record.detail;
     return payload;
 }
 
-void fsync_file(std::FILE* f, const std::string& path) {
-#if defined(_WIN32)
-    if (::_commit(::_fileno(f)) != 0) {
-        throw Error(Errc::JournalError, "journal: _commit failed for '" + path + "'");
+JournalReadResult decode(support::LogScan scan) {
+    JournalReadResult out;
+    for (const std::string& payload : scan.records) {
+        out.records.push_back({static_cast<JournalRecordType>(payload[0]),
+                               support::get_u64(payload.data() + 1),
+                               support::get_u64(payload.data() + 9),
+                               support::get_u64(payload.data() + 17),
+                               payload.substr(kPayloadFixed)});
     }
-#else
-    if (::fsync(::fileno(f)) != 0) {
-        throw Error(Errc::JournalError, "journal: fsync failed for '" + path + "'");
-    }
-#endif
-}
-
-/// A freshly created file is only durable once its directory entry is
-/// synced; without this the journal (seed Commit included) can vanish
-/// wholesale in a crash even though append() fsynced every record. Windows
-/// cannot open directories for _commit; NTFS journals metadata itself.
-void fsync_dir(const std::string& dir) {
-#if defined(_WIN32)
-    (void)dir;
-#else
-    const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd < 0) {
-        throw Error(Errc::JournalError, "journal: cannot open directory '" + dir + "' for fsync");
-    }
-    const int rc = ::fsync(fd);
-    ::close(fd);
-    if (rc != 0) {
-        throw Error(Errc::JournalError, "journal: fsync failed for directory '" + dir + "'");
-    }
-#endif
+    out.clean = scan.clean;
+    out.damage = std::move(scan.damage);
+    out.valid_bytes = scan.valid_bytes;
+    return out;
 }
 
 }  // namespace
@@ -130,130 +71,16 @@ const char* epoch_fate_name(EpochFate fate) noexcept {
     return "?";
 }
 
-JournalWriter::JournalWriter(std::string path) : path_(std::move(path)) {
-    const bool existed = std::filesystem::exists(path_);
-    if (existed) {
-        // Validate the header before appending: journals never silently
-        // append to a file that was not written by this code.
-        std::ifstream in(path_, std::ios::binary);
-        char header[kHeaderSize] = {};
-        in.read(header, static_cast<std::streamsize>(kHeaderSize));
-        if (in.gcount() != static_cast<std::streamsize>(kHeaderSize) ||
-            std::memcmp(header, kMagic, sizeof(kMagic)) != 0 ||
-            get_u32(header + sizeof(kMagic)) != kVersion) {
-            throw Error(Errc::JournalError,
-                        "journal: '" + path_ + "' exists but is not a v" +
-                            std::to_string(kVersion) + " epoch journal");
-        }
-    }
-    std::FILE* f = std::fopen(path_.c_str(), "ab");
-    if (f == nullptr) {
-        throw Error(Errc::JournalError, "journal: cannot open '" + path_ + "' for append");
-    }
-    file_ = f;
-    if (!existed) {
-        std::string header;
-        header.append(kMagic, sizeof(kMagic));
-        put_u32(header, kVersion);
-        if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
-            std::fflush(f) != 0) {
-            std::fclose(f);
-            file_ = nullptr;
-            throw Error(Errc::JournalError, "journal: cannot write header to '" + path_ + "'");
-        }
-        fsync_file(f, path_);
-        fsync_dir(std::filesystem::path(path_).parent_path().string());
-    }
+JournalWriter::JournalWriter(std::string path, JournalReadResult* prior) {
+    support::LogScan scan;
+    log_ = std::make_unique<support::RecordLog>(std::move(path), kFormat, &scan);
+    if (prior != nullptr) *prior = decode(std::move(scan));
 }
 
-JournalWriter::~JournalWriter() {
-    if (file_ != nullptr) std::fclose(static_cast<std::FILE*>(file_));
-}
-
-void JournalWriter::append(const JournalRecord& record) {
-    const std::string payload = encode_payload(record);
-    if (payload.size() > kMaxPayload) {
-        throw Error(Errc::JournalError, "journal: record detail exceeds the size cap");
-    }
-    std::string frame;
-    frame.reserve(12 + payload.size());
-    put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-    put_u64(frame, payload_checksum(payload));
-    frame += payload;
-    auto* f = static_cast<std::FILE*>(file_);
-    if (std::fwrite(frame.data(), 1, frame.size(), f) != frame.size() || std::fflush(f) != 0) {
-        throw Error(Errc::JournalError, "journal: append failed for '" + path_ + "'");
-    }
-    // The record is the durability token — it must survive the very crash
-    // the chaos matrix injects one instruction later.
-    fsync_file(f, path_);
-}
+void JournalWriter::append(const JournalRecord& record) { log_->append(encode_payload(record)); }
 
 JournalReadResult read_journal(const std::string& path) {
-    JournalReadResult out;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return out;  // missing file == empty clean journal
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-
-    if (bytes.size() < kHeaderSize || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-        throw Error(Errc::JournalError, "journal: '" + path + "' has no valid journal header");
-    }
-    const std::uint32_t version = get_u32(bytes.data() + sizeof(kMagic));
-    if (version != kVersion) {
-        throw Error(Errc::JournalError, "journal: '" + path + "' is version " +
-                                            std::to_string(version) + ", expected " +
-                                            std::to_string(kVersion));
-    }
-
-    const auto damaged = [&](std::size_t at, const std::string& why) {
-        out.clean = false;
-        out.damage = "record " + std::to_string(out.records.size()) + " at byte " +
-                     std::to_string(at) + ": " + why + " — dropped the tail, keeping " +
-                     std::to_string(out.records.size()) + " valid record(s)";
-    };
-
-    std::size_t pos = kHeaderSize;
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < 12) {
-            damaged(pos, "torn frame prefix");
-            break;
-        }
-        const std::uint32_t len = get_u32(bytes.data() + pos);
-        if (len < kPayloadFixed || len > kMaxPayload) {
-            damaged(pos, "implausible payload length " + std::to_string(len));
-            break;
-        }
-        if (bytes.size() - pos - 12 < len) {
-            damaged(pos, "torn payload (have " + std::to_string(bytes.size() - pos - 12) +
-                             " of " + std::to_string(len) + " bytes)");
-            break;
-        }
-        const std::uint64_t claimed = get_u64(bytes.data() + pos + 4);
-        const std::string payload = bytes.substr(pos + 12, len);
-        if (payload_checksum(payload) != claimed) {
-            damaged(pos, "checksum mismatch (torn or tampered record)");
-            break;
-        }
-        const auto type_byte = static_cast<std::uint8_t>(payload[0]);
-        if (!valid_type(type_byte)) {
-            damaged(pos, "unknown record type " + std::to_string(type_byte));
-            break;
-        }
-        JournalRecord rec;
-        rec.type = static_cast<JournalRecordType>(type_byte);
-        rec.seq = get_u64(payload.data() + 1);
-        rec.epoch = get_u64(payload.data() + 9);
-        rec.state_checksum = get_u64(payload.data() + 17);
-        rec.detail = payload.substr(kPayloadFixed);
-        out.records.push_back(std::move(rec));
-        pos += 12 + len;
-    }
-    // On a damaged break `pos` sits at the start of the bad frame; on a
-    // clean run it equals the file size — either way it is the valid prefix.
-    out.valid_bytes = pos;
-    return out;
+    return decode(support::scan_log(path, kFormat));
 }
 
 JournalSummary summarize_journal(const std::vector<JournalRecord>& records) {

@@ -23,21 +23,24 @@
 //                                       on disk and pinned; recovery may
 //                                       finish the swap and append Commit
 //
-// On-disk format (journal_dir/journal.bin): an 12-byte header (magic
-// "P4ALLJNL", u32 version) followed by length-prefixed records:
+// On-disk format (journal_dir/journal.bin): a support::RecordLog with magic
+// "P4ALLJNL", version 1, and one frame per record:
 //
 //   u32 payload_len | u64 checksum(payload) | payload
 //   payload = u8 type | u64 seq | u64 epoch | u64 state_checksum | detail
 //
-// Appends flush and fsync before returning. The reader tolerates a torn
-// tail (a crash mid-append): the valid prefix is returned and the damage is
-// reported, never thrown. Only an unreadable header — a file that was never
-// a journal — throws Error(Errc::JournalError).
+// Appends are durable before they return. The reader returns the valid
+// prefix of a torn tail and reports the damage; reopening the journal for
+// append cuts the torn bytes off. Only an unreadable header — a file that
+// was never a journal — throws Error(Errc::JournalError).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "support/durable.hpp"
 
 namespace p4all::runtime {
 
@@ -60,36 +63,31 @@ struct JournalRecord {
     std::string detail;                ///< assume-profile text / rollback cause
 };
 
-/// Append-only journal writer. Opening creates the file (with header) when
-/// missing and validates the header when present. Every append flushes and
-/// fsyncs; failures throw Error(Errc::JournalError).
-class JournalWriter {
-public:
-    explicit JournalWriter(std::string path);
-    ~JournalWriter();
-
-    JournalWriter(const JournalWriter&) = delete;
-    JournalWriter& operator=(const JournalWriter&) = delete;
-
-    void append(const JournalRecord& record);
-
-    [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
-private:
-    std::string path_;
-    void* file_ = nullptr;  // FILE*, kept opaque to the header
-};
-
 /// Result of reading a journal file.
 struct JournalReadResult {
     std::vector<JournalRecord> records;  ///< the longest valid prefix
     bool clean = true;   ///< false: a torn/corrupt tail was dropped
     std::string damage;  ///< what was dropped and why (when !clean)
     /// Byte length of the valid prefix (header + every valid record). When
-    /// !clean, truncating the file to this offset removes the damaged tail;
-    /// appending without truncating would leave the torn bytes in place and
-    /// hide every later record from all future reads.
+    /// !clean, JournalWriter truncates the file to this offset on open.
     std::uint64_t valid_bytes = 0;
+};
+
+/// Append-only journal writer. Opening creates a missing file, validates the
+/// header of an existing one and truncates its torn tail; `prior`, when
+/// given, receives what read_journal would have returned before the cut.
+/// Every append is durable on return; failures throw
+/// Error(Errc::JournalError).
+class JournalWriter {
+public:
+    explicit JournalWriter(std::string path, JournalReadResult* prior = nullptr);
+
+    void append(const JournalRecord& record);
+
+    [[nodiscard]] const std::string& path() const noexcept { return log_->path(); }
+
+private:
+    std::unique_ptr<support::RecordLog> log_;
 };
 
 /// Reads every valid record. A missing file is an empty clean journal. A

@@ -69,19 +69,6 @@ compiler::CompileResult compile_epoch(const std::string& source, const std::stri
     return compiler::compile_resilient_source(source, options.compile, res, name);
 }
 
-/// Drops a journal's torn/corrupt tail before the file is reopened for
-/// append. Appending past torn bytes would strand every later record —
-/// fsynced Commits included — behind bytes no reader can parse, silently
-/// losing epochs committed after the damage on the next crash.
-void truncate_torn_tail(const std::string& path, std::uint64_t valid_bytes) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, valid_bytes, ec);
-    if (ec) {
-        throw Error(Errc::JournalError, "journal: cannot truncate torn tail of '" + path +
-                                            "': " + ec.message());
-    }
-}
-
 }  // namespace
 
 ElasticRuntime::ElasticRuntime(std::string name, std::string source, RuntimeOptions options,
@@ -103,12 +90,8 @@ ElasticRuntime::ElasticRuntime(std::string name, std::string source, RuntimeOpti
         std::error_code ec;
         std::filesystem::create_directories(options_.journal_dir, ec);
         const std::string journal_path = options_.journal_dir + "/journal.bin";
-        // Read the surviving journal — and cut any torn tail — BEFORE
-        // opening it for append: records appended after torn bytes are
-        // unreachable to every future read.
-        const JournalReadResult prior = read_journal(journal_path);
-        if (!prior.clean) truncate_torn_tail(journal_path, prior.valid_bytes);
-        journal_ = std::make_unique<JournalWriter>(journal_path);
+        JournalReadResult prior;
+        journal_ = std::make_unique<JournalWriter>(journal_path, &prior);  // cuts a torn tail
         // Seed the journal with the epoch-0 baseline: a crash before the
         // first swap recovers here. Appending to a surviving journal means
         // the operator chose a fresh start over recover(); the new Commit
@@ -381,12 +364,12 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
         RecoverTag{}, std::move(name), std::move(source), std::move(options), std::move(profile)));
     const std::string journal_path = rt->options_.journal_dir + "/journal.bin";
 
-    // 1. Replay. A torn/tampered tail is dropped by the reader; a file that
-    // was never a journal is rotated aside so a fresh one can start.
+    // 1. Replay. Opening the journal drops a torn/tampered tail; a file
+    // that was never a journal is rotated aside so a fresh one can start.
     JournalReadResult replay;
     bool rotate_journal = false;
     try {
-        replay = read_journal(journal_path);
+        rt->journal_ = std::make_unique<JournalWriter>(journal_path, &replay);
     } catch (const std::exception& e) {
         rep.notes.push_back(std::string("journal unreadable: ") + e.what());
         replay.clean = false;
@@ -394,7 +377,11 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
     }
     rep.journal_records = replay.records.size();
     rep.journal_clean = replay.clean;
-    if (!replay.damage.empty()) rep.notes.push_back("journal damage: " + replay.damage);
+    if (!replay.damage.empty()) {
+        rep.notes.push_back("journal damage: " + replay.damage);
+        rep.notes.push_back("truncated damaged journal tail to " +
+                            std::to_string(replay.valid_bytes) + " byte(s)");
+    }
 
     const JournalSummary sum = summarize_journal(replay.records);
 
@@ -528,9 +515,9 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
         }
     }
 
-    // 5. Re-open the journal (rotating a non-journal file aside, cutting a
-    // torn tail) and pin the recovered state so a repeat crash recovers
-    // here deterministically.
+    // 5. Rotate a non-journal file aside and start a fresh journal, then
+    // pin the recovered state so a repeat crash recovers here
+    // deterministically.
     if (rotate_journal) {
         std::error_code ec;
         std::filesystem::rename(journal_path, journal_path + ".corrupt", ec);
@@ -540,26 +527,15 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
                             "' aside: " + ec.message());
         }
         rep.notes.push_back("rotated unreadable journal to journal.bin.corrupt");
-    } else if (!replay.clean) {
-        // Truncate before reopening for append: left in place, the torn
-        // bytes would hide the resolution Commit/Abort below — and every
-        // later committed epoch — from the next recovery.
         try {
-            truncate_torn_tail(journal_path, replay.valid_bytes);
+            rt->journal_ = std::make_unique<JournalWriter>(journal_path);
         } catch (const std::exception& e) {
-            throw Error(Errc::RecoveryError, std::string("recover: ") + e.what());
+            throw Error(Errc::RecoveryError,
+                        "recover: cannot start a fresh journal: " + std::string(e.what()));
         }
-        rep.notes.push_back("truncated damaged journal tail to " +
-                            std::to_string(replay.valid_bytes) + " byte(s)");
     }
     rt->current_ = std::move(restored);
     rt->epoch_ = restored_epoch;
-    try {
-        rt->journal_ = std::make_unique<JournalWriter>(journal_path);
-    } catch (const std::exception& e) {
-        throw Error(Errc::RecoveryError, "recover: cannot re-open the journal after recovery: " +
-                                             std::string(e.what()));
-    }
     rt->journal_seq_ = sum.next_seq;
     try {
         if (rolled_forward) {

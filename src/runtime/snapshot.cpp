@@ -5,18 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/durable.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
-
-#if defined(_WIN32)
-#include <fcntl.h>
-#include <io.h>
-#else
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace p4all::runtime {
 
@@ -231,68 +224,12 @@ Snapshot parse_snapshot(const std::string& text) {
     }
 }
 
-namespace {
-
-/// Flushes `path`'s bytes (a file) or directory entry (a dir) to stable
-/// storage. A rename is only crash-durable once its directory is synced.
-/// Windows cannot open directories for _commit (NTFS journals metadata
-/// itself), so only the file case is synced there.
-void fsync_path(const std::string& path, bool directory) {
-#if defined(_WIN32)
-    if (directory) return;
-    const int fd = ::_open(path.c_str(), _O_RDONLY | _O_BINARY);
-    if (fd < 0) {
-        throw Error(Errc::SnapshotError, "snapshot: cannot open '" + path + "' for _commit");
-    }
-    const int rc = ::_commit(fd);
-    ::_close(fd);
-    if (rc != 0) {
-        throw Error(Errc::SnapshotError, "snapshot: _commit failed for '" + path + "'");
-    }
-#else
-    const int fd = ::open(path.c_str(), directory ? O_RDONLY | O_DIRECTORY : O_RDONLY);
-    if (fd < 0) {
-        throw Error(Errc::SnapshotError, "snapshot: cannot open '" + path + "' for fsync");
-    }
-    const int rc = ::fsync(fd);
-    ::close(fd);
-    if (rc != 0) {
-        throw Error(Errc::SnapshotError, "snapshot: fsync failed for '" + path + "'");
-    }
-#endif
-}
-
-}  // namespace
-
 void save_snapshot(const Snapshot& snap, const std::string& path) {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            throw Error(Errc::SnapshotError, "snapshot: cannot open '" + tmp + "' for writing");
-        }
-        out << serialize_snapshot(snap) << '\n';
-        out.flush();
-        if (!out) throw Error(Errc::SnapshotError, "snapshot: write failed for '" + tmp + "'");
-    }
-    // Durability order: temp contents, then the rename, then the directory
-    // entry — a crash at any point leaves either the old file or the new
-    // one, never a torn mix.
-    fsync_path(tmp, false);
     if (support::fault_fires("runtime.snapshot")) {
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
         throw Error(Errc::FaultInjected,
                     "snapshot: injected write failure before committing '" + path + "'");
     }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        throw Error(Errc::SnapshotError,
-                    "snapshot: cannot rename '" + tmp + "' over '" + path + "': " + ec.message());
-    }
-    const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-    fsync_path(parent.empty() ? "." : parent.string(), true);
+    support::atomic_replace(path, serialize_snapshot(snap) + "\n", Errc::SnapshotError);
 }
 
 Snapshot load_snapshot(const std::string& path) {

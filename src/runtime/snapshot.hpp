@@ -4,12 +4,12 @@
 // by register *name* and instance, so it can be re-applied to a pipeline
 // compiled from a different layout of the same program (or reloaded after a
 // crash). The on-disk format is a single JSON document with hex-encoded row
-// data and a whole-state checksum; writes go through a temp file renamed
-// over the target, so a crash mid-write never corrupts the previous good
-// snapshot (docs/RUNTIME.md documents the format).
+// data and a whole-state checksum, written with support::atomic_replace so a
+// crash mid-write never corrupts the previous good snapshot (docs/RUNTIME.md
+// documents the format).
 //
-// Fault points: `runtime.snapshot` (fires => the write fails after the temp
-// file is produced, proving the previous snapshot survives) and
+// Fault points: `runtime.snapshot` (fires => the save fails before writing
+// anything, proving the previous snapshot survives) and
 // `runtime.restore` (fires => the load fails cleanly with a structured
 // error, proving a fresh-state fallback path).
 #pragma once
@@ -61,7 +61,7 @@ void apply_snapshot(const Snapshot& snap, sim::Pipeline& pipe);
 [[nodiscard]] std::string serialize_snapshot(const Snapshot& snap);
 [[nodiscard]] Snapshot parse_snapshot(const std::string& text);
 
-/// Crash-safe save: writes `path` + ".tmp" then renames over `path`.
+/// Crash-safe save: support::atomic_replace of `path` (via `path` + ".tmp").
 /// Throws Error(Errc::SnapshotError) on I/O failure (or when the
 /// `runtime.snapshot` fault point fires); `path` keeps its previous
 /// contents in every failure case.

@@ -4,12 +4,7 @@
 #include <cstring>
 #include <filesystem>
 
-#if defined(_WIN32)
-#include <io.h>
-#else
-#include <unistd.h>
-#endif
-
+#include "support/durable.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -25,36 +20,8 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
 constexpr std::uint64_t kUnsealed = ~std::uint64_t{0};
 constexpr std::uint64_t kChecksumSeed = 0xA5A5'5A5A'C3C3'3C3Cull;
 
-void put_u32(unsigned char* out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-void put_u64(unsigned char* out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const unsigned char* in) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{in[i]} << (8 * i);
-    return v;
-}
-
-std::uint64_t get_u64(const unsigned char* in) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[i]} << (8 * i);
-    return v;
-}
-
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
     throw Error(Errc::TraceError, "binary trace '" + path + "': " + what);
-}
-
-void fsync_file(std::FILE* f) {
-#if defined(_WIN32)
-    (void)::_commit(::_fileno(f));
-#else
-    (void)::fsync(fileno(f));
-#endif
 }
 
 std::uint64_t fold(std::uint64_t sum, std::uint64_t key) noexcept {
@@ -75,12 +42,11 @@ std::uint64_t trace_checksum(const std::vector<std::uint64_t>& keys) noexcept {
 TraceWriter::TraceWriter(const std::string& path) : path_(path), checksum_(kChecksumSeed) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) fail(path_, "cannot create");
-    unsigned char header[kHeaderBytes];
-    std::memcpy(header, kMagic, 8);
-    put_u32(header + 8, kVersion);
-    put_u64(header + 12, kUnsealed);  // count: sealed on close()
-    put_u64(header + 20, 0);          // checksum: sealed on close()
-    if (std::fwrite(header, 1, kHeaderBytes, f) != kHeaderBytes || std::fflush(f) != 0) {
+    std::string header(kMagic, 8);
+    support::put_u32(header, kVersion);
+    support::put_u64(header, kUnsealed);  // count: sealed on close()
+    support::put_u64(header, 0);          // checksum: sealed on close()
+    if (std::fwrite(header.data(), 1, kHeaderBytes, f) != kHeaderBytes || std::fflush(f) != 0) {
         std::fclose(f);
         fail(path_, "header write failed");
     }
@@ -92,16 +58,15 @@ TraceWriter::~TraceWriter() {
     try {
         close();
     } catch (...) {
-        std::fclose(static_cast<std::FILE*>(file_));
-        file_ = nullptr;
+        // close() has already closed the file; the destructor only swallows.
     }
 }
 
 void TraceWriter::append(std::uint64_t key) {
     if (file_ == nullptr) fail(path_, "append after close");
-    unsigned char rec[8];
-    put_u64(rec, key);
-    if (std::fwrite(rec, 1, 8, static_cast<std::FILE*>(file_)) != 8) {
+    std::string rec;
+    support::put_u64(rec, key);
+    if (std::fwrite(rec.data(), 1, 8, static_cast<std::FILE*>(file_)) != 8) {
         fail(path_, "record write failed");
     }
     ++count_;
@@ -112,16 +77,23 @@ void TraceWriter::close() {
     if (file_ == nullptr) return;
     std::FILE* f = static_cast<std::FILE*>(file_);
     file_ = nullptr;  // the file is closed on every path below
-    unsigned char seal[16];
-    put_u64(seal, count_);
-    put_u64(seal + 8, checksum_);
+    std::string seal;
+    support::put_u64(seal, count_);
+    support::put_u64(seal, checksum_);
     // Records become durable before the seal claims they are all there; a
-    // crash between the two fsyncs leaves an unsealed-but-replayable file.
-    const bool ok = std::fflush(f) == 0 && (fsync_file(f), true) &&
-                    std::fseek(f, 12, SEEK_SET) == 0 && std::fwrite(seal, 1, 16, f) == 16 &&
-                    std::fflush(f) == 0 && (fsync_file(f), true);
-    const bool closed = std::fclose(f) == 0;
-    if (!ok || !closed) fail(path_, "seal failed");
+    // crash between the two syncs leaves an unsealed-but-replayable file.
+    try {
+        support::sync_file(f, path_, Errc::TraceError);
+        if (std::fseek(f, 12, SEEK_SET) != 0 || std::fwrite(seal.data(), 1, 16, f) != 16) {
+            fail(path_, "seal failed");
+        }
+        support::sync_file(f, path_, Errc::TraceError);
+    } catch (...) {
+        std::fclose(f);
+        throw;
+    }
+    if (std::fclose(f) != 0) fail(path_, "seal failed");
+    support::sync_dir(std::filesystem::path(path_).parent_path().string(), Errc::TraceError);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,19 +102,19 @@ void TraceWriter::close() {
 TraceReader::TraceReader(const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) fail(path, "cannot open");
-    unsigned char header[kHeaderBytes];
+    char header[kHeaderBytes];
     if (std::fread(header, 1, kHeaderBytes, f) != kHeaderBytes ||
         std::memcmp(header, kMagic, 8) != 0) {
         std::fclose(f);
         fail(path, "not a P4ALLTRC trace file");
     }
-    const std::uint32_t version = get_u32(header + 8);
+    const std::uint32_t version = support::get_u32(header + 8);
     if (version != kVersion) {
         std::fclose(f);
         fail(path, "unsupported version " + std::to_string(version));
     }
-    const std::uint64_t sealed_count = get_u64(header + 12);
-    const std::uint64_t sealed_sum = get_u64(header + 20);
+    const std::uint64_t sealed_count = support::get_u64(header + 12);
+    const std::uint64_t sealed_sum = support::get_u64(header + 20);
 
     // Count the complete records actually on disk (a torn trailing partial
     // record — the writer died mid-fwrite — is dropped, not an error).
@@ -171,13 +143,13 @@ TraceReader::TraceReader(const std::string& path) {
         // tampered record is refused before any key is handed out.
         std::fseek(f, kHeaderBytes, SEEK_SET);
         std::uint64_t sum = kChecksumSeed;
-        unsigned char rec[8];
+        char rec[8];
         for (std::uint64_t i = 0; i < on_disk; ++i) {
             if (std::fread(rec, 1, 8, f) != 8) {
                 std::fclose(f);
                 fail(path, "short read");
             }
-            sum = fold(sum, get_u64(rec));
+            sum = fold(sum, support::get_u64(rec));
         }
         if (sum != sealed_sum) {
             std::fclose(f);
@@ -196,12 +168,12 @@ TraceReader::~TraceReader() {
 
 bool TraceReader::next(std::uint64_t& key) {
     if (remaining_ == 0) return false;
-    unsigned char rec[8];
+    char rec[8];
     if (std::fread(rec, 1, 8, static_cast<std::FILE*>(file_)) != 8) {
         remaining_ = 0;
         return false;  // file shrank under us; treat as end of trace
     }
-    key = get_u64(rec);
+    key = support::get_u64(rec);
     --remaining_;
     return true;
 }

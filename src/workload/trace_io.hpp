@@ -9,9 +9,10 @@
 //   header   "P4ALLTRC" magic (8) | u32 version=1 | u64 count | u64 checksum
 //   records  one little-endian u64 key per packet, append-only
 //
-// A TraceWriter stamps the header with count = kUnsealed and checksum = 0,
-// fsyncs every flush, and *seals* the file on close(): it seeks back and
-// writes the final record count plus a running checksum over every key.
+// A TraceWriter stamps the header with count = kUnsealed and checksum = 0
+// and *seals* the file on close(): it syncs the records to disk
+// (support/durable.hpp), then seeks back and writes the final record count
+// plus a running checksum over every key, and syncs again.
 // A file whose writer crashed before sealing is still fully replayable —
 // TraceReader recognises the unsealed sentinel, streams keys to EOF
 // (dropping a torn trailing partial record), and reports sealed() == false

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "fleet/fleet.hpp"
 #include "support/faultpoint.hpp"
 #include "workload/cluster.hpp"
@@ -71,7 +72,7 @@ protected:
         support::FaultRegistry::instance().clear();
         std::filesystem::remove_all(dir_);
     }
-    std::string dir_ = ::testing::TempDir() + "p4all_fleet_chaos";
+    std::string dir_ = test_util::temp_path("p4all_fleet_chaos");
 };
 
 TEST_P(FleetChaosMatrix, ControllerCrashThenRecoverPreservesTheFleet) {
@@ -121,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(AllFleetPoints, FleetChaosMatrix,
 /// (degraded, never lost — the survivors' SRAM suffices at reduced
 /// profiles), and the rejoin restores every tenant to its full profile.
 TEST(FleetDegradationSoak, LoseOneOfThreeSwitchesThenClimbBack) {
-    const std::string dir = ::testing::TempDir() + "p4all_fleet_soak";
+    const std::string dir = test_util::temp_path("p4all_fleet_soak");
     std::filesystem::remove_all(dir);
 
     const std::vector<SwitchSpec> switches = {{"sw0", 150000}, {"sw1", 150000},

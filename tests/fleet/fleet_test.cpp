@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
 #include "workload/cluster.hpp"
@@ -51,7 +52,7 @@ protected:
         support::FaultRegistry::instance().clear();
         std::filesystem::remove_all(dir_);
     }
-    std::string dir_ = ::testing::TempDir() + "p4all_fleet_test";
+    std::string dir_ = test_util::temp_path("p4all_fleet_test");
 };
 
 TEST_F(FleetTest, RejectsBrokenTopologies) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "runtime/drivers.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/snapshot.hpp"
@@ -25,7 +26,7 @@ namespace {
 class AdversarialSoak : public ::testing::TestWithParam<std::string> {
 protected:
     void TearDown() override { std::filesystem::remove_all(dir_); }
-    std::string dir_ = ::testing::TempDir() + "p4all_adversarial";
+    std::string dir_ = test_util::temp_path("p4all_adversarial");
 };
 
 TEST_P(AdversarialSoak, ThreeLiveSwapsUnderHostileTrafficNeverCorruptState) {

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "runtime/drivers.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/runtime.hpp"
@@ -87,7 +88,7 @@ protected:
         support::FaultRegistry::instance().clear();
         std::filesystem::remove_all(dir_);
     }
-    std::string dir_ = ::testing::TempDir() + "p4all_chaos";
+    std::string dir_ = test_util::temp_path("p4all_chaos");
 };
 
 TEST_P(ChaosMatrix, KillAtEveryJournalPointThenRecover) {
@@ -145,7 +146,7 @@ TEST(ChaosCycle, SurvivesRepeatedCrashRestartCycles) {
 #if defined(P4ALL_CHAOS_TSAN)
     GTEST_SKIP() << "fork-based chaos cells are not TSan-compatible";
 #else
-    const std::string dir = ::testing::TempDir() + "p4all_chaos_cycle";
+    const std::string dir = test_util::temp_path("p4all_chaos_cycle");
     std::filesystem::remove_all(dir);
 
     // Cycle 1: die at the commit record of the first swap.

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/snapshot.hpp"
 #include "support/error.hpp"
@@ -62,7 +63,7 @@ class JournalFormat : public ::testing::Test {
 protected:
     void SetUp() override { std::filesystem::remove(path_); }
     void TearDown() override { std::filesystem::remove(path_); }
-    std::string path_ = ::testing::TempDir() + "p4all_journal_fmt.bin";
+    std::string path_ = test_util::temp_path("p4all_journal_fmt.bin");
 };
 
 TEST_F(JournalFormat, RecordsRoundTripThroughTheFile) {
@@ -128,6 +129,33 @@ TEST_F(JournalFormat, TornTailIsDroppedNotThrown) {
                                       ? "first"
                                       : "second");
         }
+    }
+}
+
+TEST_F(JournalFormat, AppendAfterATornTailAtEveryOffsetStaysReadable) {
+    {
+        JournalWriter w(path_);
+        w.append({JournalRecordType::Commit, 0, 0, 1, "kept"});
+    }
+    const std::uintmax_t last_start = std::filesystem::file_size(path_);
+    {
+        JournalWriter w(path_);
+        w.append({JournalRecordType::Commit, 1, 1, 2, "torn by the crash"});
+    }
+    const std::string bytes = read_file(path_);
+    // Reopening the writer cuts the torn record wherever the crash split
+    // it, so the record appended next is readable, never stranded.
+    for (std::size_t cut = last_start; cut < bytes.size(); ++cut) {
+        write_file(path_, bytes.substr(0, cut));
+        {
+            JournalWriter w(path_);
+            w.append({JournalRecordType::Commit, 2, 2, 3, "after"});
+        }
+        const JournalReadResult rr = read_journal(path_);
+        EXPECT_TRUE(rr.clean) << "cut at " << cut << ": " << rr.damage;
+        ASSERT_EQ(rr.records.size(), 2u) << "cut at " << cut;
+        EXPECT_EQ(rr.records[0].detail, "kept");
+        EXPECT_EQ(rr.records[1].detail, "after");
     }
 }
 
@@ -312,7 +340,7 @@ protected:
     }
 
     std::shared_ptr<std::int64_t> cols_ = std::make_shared<std::int64_t>(256);
-    std::string dir_ = ::testing::TempDir() + "p4all_journal_rt";
+    std::string dir_ = test_util::temp_path("p4all_journal_rt");
 };
 
 TEST_F(JournaledRuntime, CommittedSwapWritesTheFullRecordSequence) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "runtime/drivers.hpp"
 #include "runtime/runtime.hpp"
 #include "workload/trace.hpp"
@@ -37,7 +38,7 @@ protected:
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
-    std::string dir_ = ::testing::TempDir() + "p4all_missing_snap";
+    std::string dir_ = test_util::temp_path("p4all_missing_snap");
 };
 
 bool any_note_mentions(const RecoveryReport& rep, const std::string& needle) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "audit/audit.hpp"
+#include "common/temp_path.hpp"
 #include "runtime/drivers.hpp"
 #include "runtime/snapshot.hpp"
 #include "support/error.hpp"
@@ -203,7 +204,7 @@ TEST(ElasticRuntime, SwapAndMigrateFaultsRollBackBitIdentically) {
 }
 
 TEST(ElasticRuntime, SnapshotGateAbortsSwapAndSaveRestoreRoundTrips) {
-    const std::string path = ::testing::TempDir() + "runtime_epoch.json";
+    const std::string path = test_util::temp_path("runtime_epoch.json");
     std::remove(path.c_str());
 
     RuntimeOptions options;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "runtime/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -151,7 +152,7 @@ TEST(SnapshotFuzz, FlippedDataCellFailsTheChecksum) {
 }
 
 TEST(SnapshotFuzz, OnDiskCorruptionSurfacesThroughLoadSnapshot) {
-    const std::string path = ::testing::TempDir() + "p4all_snapshot_fuzz.json";
+    const std::string path = test_util::temp_path("p4all_snapshot_fuzz.json");
     const Snapshot snap = make_snapshot();
     save_snapshot(snap, path);
     EXPECT_TRUE(load_snapshot(path).state_identical(snap));

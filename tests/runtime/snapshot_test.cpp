@@ -9,6 +9,7 @@
 #include <string>
 
 #include "apps/netcache.hpp"
+#include "common/temp_path.hpp"
 #include "compiler/compiler.hpp"
 #include "sim/pipeline.hpp"
 #include "support/error.hpp"
@@ -53,7 +54,7 @@ struct FaultGuard {
     ~FaultGuard() { support::FaultRegistry::instance().clear(); }
 };
 
-std::string temp_path(const char* name) { return ::testing::TempDir() + name; }
+using test_util::temp_path;
 
 TEST(Snapshot, SerializeParseRoundTripsBitIdentically) {
     const auto r = compile_netcache(256, 64);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "support/error.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
@@ -19,7 +20,7 @@ namespace {
 using support::Errc;
 using support::Error;
 
-std::string temp_path(const char* name) { return ::testing::TempDir() + name; }
+using test_util::temp_path;
 
 std::string read_bytes(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -140,6 +141,21 @@ TEST(TraceBinary, GarbageAndMissingFilesAreTypedErrors) {
         }
     }
     std::remove(path.c_str());
+}
+
+TEST(TraceBinary, CloseThrowsWhenTheSealCannotBeMadeDurable) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "relies on fsync(/dev/null) failing with EINVAL, as on Linux";
+#else
+    TraceWriter writer("/dev/null");
+    writer.append(1);
+    try {
+        writer.close();
+        FAIL() << "close() returned although the records could not be synced";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), Errc::TraceError) << e.what();
+    }
+#endif
 }
 
 TEST(TraceBinary, ChecksumMatchesTheSealedHeader) {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/temp_path.hpp"
 #include "workload/trace.hpp"
 
 namespace p4all::workload {
@@ -12,7 +13,7 @@ namespace {
 class TraceIo : public ::testing::Test {
 protected:
     void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = ::testing::TempDir() + "p4all_trace_io_test.txt";
+    std::string path_ = test_util::temp_path("p4all_trace_io_test.txt");
 };
 
 TEST_F(TraceIo, SaveLoadRoundTrip) {
