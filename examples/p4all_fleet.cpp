@@ -28,8 +28,10 @@
 //     --ilp                exact ILP backend (default: greedy)
 //     --expect-served N    exit 1 unless >= N tenants are serving at the end
 //
-//   The final lines print one state digest per served tenant; a replay with
-//   the same seed and schedule must print identical digests.
+//   The final lines print one state digest per served tenant (a replay with
+//   the same seed and schedule must print identical digests), the routing
+//   totals, and how many tenant epochs came from the controller's epoch
+//   cache versus the compiler.
 //
 //   Exit codes: 0 ok, 1 a demand was not met, 2 usage/fatal error.
 #include <cstdio>
@@ -216,6 +218,9 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(fc->packets_dropped()),
                     static_cast<unsigned long long>(fc->route_retries()), served,
                     tenant_names.size());
+        std::printf("p4all-fleet: epochs — %llu reused, %llu compiled\n",
+                    static_cast<unsigned long long>(fc->epochs_reused()),
+                    static_cast<unsigned long long>(fc->epochs_compiled()));
         if (served < expect_served) {
             std::fprintf(stderr, "p4all-fleet: ERROR: %zu tenants serving, %zu required\n",
                          served, expect_served);

@@ -165,6 +165,8 @@ void FleetController::validate_and_seed(std::vector<SwitchSpec>& switches,
         }
         tenants_.emplace(spec.name, std::move(tenant));
     }
+    epochs_ = std::make_shared<runtime::EpochCache>(
+        tenants_.size() * static_cast<std::size_t>(options_.max_degrade_level + 1));
     fs::create_directories(options_.journal_root);
     // Stable per-tenant jitter streams: the tenant's rank in name order, so
     // the delay sequences are a function of the fleet spec alone.
@@ -179,7 +181,10 @@ void FleetController::validate_and_seed(std::vector<SwitchSpec>& switches,
 // small helpers
 
 runtime::RuntimeOptions FleetController::tenant_options(const Tenant& tenant) const {
+    // Every tenant compiles under the one options_.runtime, so (name,
+    // source) is a complete key for the shared epoch cache.
     runtime::RuntimeOptions opts = options_.runtime;
+    opts.epochs = epochs_;
     opts.journal_dir = options_.journal_root + "/" + tenant.spec.name;
     // One shared snapshot_path would make tenants clobber each other; the
     // per-epoch journal snapshots already persist everything.

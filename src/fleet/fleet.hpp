@@ -29,6 +29,12 @@
 //   recover    when a switch rejoins, degraded tenants climb back toward
 //              their full profiles and parked tenants are readmitted.
 //
+// A dead switch loses its register state, not the compiler's output: the
+// controller keeps every tenant's audited epochs in one EpochCache
+// (runtime/epoch_cache.hpp), so a failover or ladder swap back to a source
+// it already compiled skips the compiler. The snapshot checks, migrations
+// and journal records of every install run exactly as without the cache.
+//
 // Every placement decision is journaled to journal_root/fleet.log, a
 // support::RecordLog with magic "P4ALLFLT": one checksummed, synced frame
 // per FleetEvent (its JSON object); a file without that header is rejected
@@ -191,6 +197,13 @@ public:
     [[nodiscard]] std::uint64_t route_retries() const noexcept { return route_retries_; }
     /// Virtual milliseconds spent in backoff waits (never actually slept).
     [[nodiscard]] double backoff_delay_ms() const noexcept { return backoff_delay_ms_; }
+    /// Tenant compiles served from the controller's epoch cache, and the
+    /// ones that ran the compiler (both since this controller started).
+    [[nodiscard]] std::uint64_t epochs_reused() const noexcept { return epochs_->hits(); }
+    [[nodiscard]] std::uint64_t epochs_compiled() const noexcept { return epochs_->misses(); }
+    /// Epochs the cache holds now; never more than tenants x
+    /// (max_degrade_level + 1).
+    [[nodiscard]] std::size_t epochs_cached() const noexcept { return epochs_->size(); }
     [[nodiscard]] const FleetOptions& options() const noexcept { return options_; }
     /// Renders the fleet table (homes, levels, bits, liveness, breakers).
     [[nodiscard]] std::string to_string() const;
@@ -255,6 +268,10 @@ private:
     std::map<std::string, Tenant> tenants_;
     FailureDetector detector_;
     std::unique_ptr<support::RecordLog> log_;  ///< journal_root/fleet.log, held open
+    /// Audited epochs of every tenant, handed to each runtime the controller
+    /// builds; sized tenants x (max_degrade_level + 1). A recovered
+    /// controller starts empty.
+    std::shared_ptr<runtime::EpochCache> epochs_;
     std::vector<FleetEvent> events_;
     std::uint64_t seq_ = 0;
     std::uint64_t packets_routed_ = 0;

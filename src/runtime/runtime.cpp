@@ -39,34 +39,46 @@ std::string RecoveryReport::to_string() const {
     return out;
 }
 
-/// One compiled generation. The pipeline borrows the program inside the
-/// compile result, so both live together and the pair is heap-pinned (the
-/// runtime swaps whole epochs, never mutates one).
+/// One compiled generation: the immutable compile result (possibly shared
+/// with other runtimes through an EpochCache) plus this runtime's own
+/// pipeline over it, which borrows the result's program and layout. The
+/// runtime swaps whole epochs, never mutates one.
 struct ElasticRuntime::Epoch {
-    compiler::CompileResult compiled;
+    std::shared_ptr<const compiler::CompileResult> compiled;
     sim::Pipeline pipe;
 
-    explicit Epoch(compiler::CompileResult r)
+    explicit Epoch(std::shared_ptr<const compiler::CompileResult> r)
         : compiled(std::move(r)),
           // Proved register-bounds facts from the artifacts let the pipeline
           // run its proved fast path; a compile without artifacts serves the
           // fully checked interpreter.
-          pipe(compiled.program, compiled.layout,
-               compiled.artifacts ? std::span<const verify::ProofFact>(compiled.artifacts->proofs)
-                                  : std::span<const verify::ProofFact>{}) {}
+          pipe(compiled->program, compiled->layout,
+               compiled->artifacts
+                   ? std::span<const verify::ProofFact>(compiled->artifacts->proofs)
+                   : std::span<const verify::ProofFact>{}) {}
 };
 
 namespace {
 
-compiler::CompileResult compile_epoch(const std::string& source, const std::string& name,
-                                      const RuntimeOptions& options) {
+/// The audit-gated compile of `source`, or the result options.epochs holds
+/// for it. Only a result that passed the gate is cached: a failed compile
+/// throws before the insert.
+std::shared_ptr<const compiler::CompileResult> compile_epoch(const std::string& source,
+                                                             const std::string& name,
+                                                             const RuntimeOptions& options) {
+    if (options.epochs != nullptr) {
+        if (auto cached = options.epochs->find(name, source)) return cached;
+    }
     compiler::ResilienceOptions res;
     res.budget_seconds = options.recompile_budget_seconds;
     res.external_gate = audit::make_resilience_gate();
     if (!options.exact_portfolio) {
         res.try_ilp_sparse = res.try_ilp = res.try_ilp_restart = false;
     }
-    return compiler::compile_resilient_source(source, options.compile, res, name);
+    auto result = std::make_shared<const compiler::CompileResult>(
+        compiler::compile_resilient_source(source, options.compile, res, name));
+    if (options.epochs != nullptr) options.epochs->insert(name, source, result);
+    return result;
 }
 
 }  // namespace
@@ -124,10 +136,10 @@ std::string ElasticRuntime::initial_extra() const {
 sim::Pipeline& ElasticRuntime::pipeline() noexcept { return current_->pipe; }
 const sim::Pipeline& ElasticRuntime::pipeline() const noexcept { return current_->pipe; }
 const compiler::CompileResult& ElasticRuntime::compiled() const noexcept {
-    return current_->compiled;
+    return *current_->compiled;
 }
 const ir::Program& ElasticRuntime::program() const noexcept {
-    return current_->compiled.program;
+    return current_->compiled->program;
 }
 
 std::string HealthProbe::to_string() const {
@@ -179,7 +191,7 @@ SwapEvent ElasticRuntime::attempt_swap(const std::string& extra, const std::stri
     event.to_epoch = epoch_;
     event.at_packet = packets_;
     event.trigger = trigger;
-    event.old_utility = current_->compiled.utility;
+    event.old_utility = current_->compiled->utility;
 
     // The serving epoch's state, captured up front: migration never writes
     // it, and failure paths verify the guarantee before declaring rollback.
@@ -236,14 +248,14 @@ SwapEvent ElasticRuntime::attempt_swap(const std::string& extra, const std::stri
     } catch (const std::exception& e) {
         return reject(std::string("recompile failed: ") + e.what());
     }
-    event.new_utility = candidate->compiled.utility;
+    event.new_utility = candidate->compiled->utility;
 
     // Static gate: the migration planner sees every invariant-breaking
     // geometry from the layouts alone, so an unsafe swap is rejected before
     // the migrator touches the candidate (and before any traffic).
     const StaticMigrationPlan plan =
-        plan_migration(current_->compiled.program, current_->compiled.layout,
-                       candidate->compiled.program, candidate->compiled.layout);
+        plan_migration(current_->compiled->program, current_->compiled->layout,
+                       candidate->compiled->program, candidate->compiled->layout);
     if (options_.require_invariants && !plan.invariants_preserved()) {
         event.migration_exact = false;
         event.invariants_preserved = false;
@@ -385,9 +397,10 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
 
     const JournalSummary sum = summarize_journal(replay.records);
 
-    // Brings up epoch `target` exactly as journaled: recompile its source,
-    // restore its snapshot, verify against the journaled checksum, and
-    // prove the applied state round-trips bit-identically.
+    // Brings up epoch `target` exactly as journaled: recompile its source
+    // (or take the cached audited epoch), restore its snapshot, verify
+    // against the journaled checksum, and prove the applied state
+    // round-trips bit-identically.
     const auto try_restore = [&](std::uint64_t target, const std::string& extra,
                                  std::uint64_t expect_checksum,
                                  std::string& why) -> std::unique_ptr<Epoch> {
@@ -445,10 +458,10 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
             std::string prev_full = rt->source_;
             if (!prev.extra.empty()) prev_full += "\n" + prev.extra;
             try {
-                const Epoch from(compile_epoch(prev_full, rt->name_, rt->options_));
+                const auto from = compile_epoch(prev_full, rt->name_, rt->options_);
                 const StaticMigrationPlan plan =
-                    plan_migration(from.compiled.program, from.compiled.layout,
-                                   cand->compiled.program, cand->compiled.layout);
+                    plan_migration(from->program, from->layout, cand->compiled->program,
+                                   cand->compiled->layout);
                 if (!plan.invariants_preserved()) {
                     why = "roll-forward would break a module invariant";
                     cand.reset();

@@ -37,10 +37,11 @@
 // state persists as journal_dir/epoch_<N>.json. After a crash,
 // ElasticRuntime::recover() replays the journal, classifies the interrupted
 // attempt (committed / roll-forward-safe / must-roll-back), recompiles the
-// proven epoch from its journaled assume profile, restores its snapshot,
-// and re-verifies the state checksum — degrading one committed epoch at a
-// time (down to a fresh epoch 0) when snapshots are lost or corrupt, and
-// never crashing on torn or tampered journals.
+// proven epoch from its journaled assume profile (or takes the cached
+// audited epoch, when RuntimeOptions::epochs holds one), restores its
+// snapshot, and re-verifies the state checksum — degrading one committed
+// epoch at a time (down to a fresh epoch 0) when snapshots are lost or
+// corrupt, and never crashing on torn or tampered journals.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,7 @@
 
 #include "compiler/compiler.hpp"
 #include "runtime/drift.hpp"
+#include "runtime/epoch_cache.hpp"
 #include "runtime/migrate.hpp"
 #include "runtime/snapshot.hpp"
 #include "sim/pipeline.hpp"
@@ -88,6 +90,11 @@ struct RuntimeOptions {
     /// is journaled, and ElasticRuntime::recover() can rebuild the proven
     /// state after a crash at any point of the swap pipeline.
     std::string journal_dir;
+    /// When set: compiles look here first and insert every audited result,
+    /// so a runtime rebuilt for the same source (failover, ladder rung)
+    /// reuses the epoch instead of recompiling it. Null by default; the
+    /// fleet controller sets it for its tenants (epoch_cache.hpp).
+    std::shared_ptr<EpochCache> epochs;
 };
 
 /// What ElasticRuntime::recover() did, step by step.

@@ -173,6 +173,7 @@ RecordLog::RecordLog(std::string path, const LogFormat& format, LogScan* opened)
         fs::resize_file(path_, scan.valid_bytes, ec);
         if (ec) throw Error(code_, "cannot truncate the damaged tail of '" + path_ + "'");
     }
+    size_ = scan.valid_bytes == 0 ? kHeaderBytes : scan.valid_bytes;
     file_ = std::fopen(path_.c_str(), "ab");
     if (file_ == nullptr) throw Error(code_, "cannot open '" + path_ + "' for append");
     if (opened != nullptr) *opened = std::move(scan);
@@ -186,17 +187,35 @@ void RecordLog::append(std::string_view payload) {
     if (payload.size() > kMaxRecordBytes) {
         throw Error(code_, "record for '" + path_ + "' exceeds the size cap");
     }
+    if (file_ == nullptr) {
+        throw Error(code_,
+                    "cannot append to '" + path_ + "': it did not reopen after a failed append");
+    }
     std::string frame;
     frame.reserve(kFrameBytes + payload.size());
     put_u32(frame, static_cast<std::uint32_t>(payload.size()));
     put_u64(frame, record_checksum(payload));
     frame += payload;
-    if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-        throw Error(code_, "cannot append to '" + path_ + "'");
+    try {
+        if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+            throw Error(code_, "cannot append to '" + path_ + "'");
+        }
+        // The record is the durability token — it must survive the very
+        // crash the chaos matrices inject one instruction later.
+        sync_file(file_, path_, code_);
+    } catch (...) {
+        // Part of the frame may sit in the file or in the stdio buffer.
+        // Closing drops the buffer (its flush may fail again), truncating
+        // restores the acknowledged frames, and append mode positions the
+        // reopened file at their end.
+        std::fclose(file_);
+        file_ = nullptr;
+        std::error_code ec;
+        fs::resize_file(path_, size_, ec);
+        if (!ec) file_ = std::fopen(path_.c_str(), "ab");
+        throw;
     }
-    // The record is the durability token — it must survive the very crash
-    // the chaos matrices inject one instruction later.
-    sync_file(file_, path_, code_);
+    size_ += frame.size();
 }
 
 }  // namespace p4all::support

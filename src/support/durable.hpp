@@ -10,7 +10,8 @@
 // Opening a log for append keeps its longest valid prefix and truncates the
 // rest in place, so a record appended after a crash mid-append is never
 // stranded behind torn bytes. A missing log is created by atomic_replace.
-// Each append writes one frame and syncs it before returning.
+// Each append writes one frame and syncs it before returning; an append
+// that fails part-way truncates its torn bytes before it throws.
 //
 // Atomic replace: write <path>.tmp, sync it, rename it over <path>, sync
 // the directory. A crash leaves the old file or the new one, never a mix.
@@ -78,7 +79,9 @@ public:
     RecordLog(const RecordLog&) = delete;
     RecordLog& operator=(const RecordLog&) = delete;
 
-    /// Writes one frame and syncs it.
+    /// Writes one frame and syncs it. A failure part-way cuts the log back
+    /// to its acknowledged frames before throwing, so later appends from
+    /// this handle stay readable.
     void append(std::string_view payload);
 
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
@@ -86,7 +89,8 @@ public:
 private:
     std::string path_;
     Errc code_;
-    std::FILE* file_ = nullptr;
+    std::FILE* file_ = nullptr;  ///< null after a failed append could not reopen
+    std::uint64_t size_ = 0;     ///< header + acknowledged frames, in bytes
 };
 
 }  // namespace p4all::support

@@ -1,6 +1,8 @@
 // FleetController end-to-end: admission, failover with journal replay,
 // heartbeat-driven death, breaker-guarded installs, the degradation ladder,
-// shedding, readmission — and determinism across solver thread counts.
+// shedding, readmission, the epoch cache (cached failover against cold
+// journal recovery, its size bound) — and determinism across solver
+// thread counts.
 #include "fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "common/temp_path.hpp"
+#include "runtime/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
 #include "workload/cluster.hpp"
@@ -220,6 +223,81 @@ TEST_F(FleetTest, RouteFaultsRetryThenDrop) {
     support::FaultRegistry::instance().clear();
     fleet.step("t0", 2);
     EXPECT_EQ(fleet.packets_routed(), 1u);
+}
+
+/// 3 capacity-bounded switches, 6 tenants: losing one switch forces the
+/// degradation ladder, and the rejoin climbs everyone back.
+const std::vector<SwitchSpec> kBoundedSwitches = {{"sw0", 150000}, {"sw1", 150000},
+                                                  {"sw2", 150000}};
+const std::vector<TenantSpec> kSixTenants = {{"n0", "netcache"},  {"n1", "netcache"},
+                                             {"n2", "netcache"},  {"p0", "precision"},
+                                             {"p1", "precision"}, {"p2", "precision"}};
+
+TEST_F(FleetTest, CachedFailoverEqualsColdJournalRecovery) {
+    std::vector<std::string> names;
+    for (const TenantSpec& spec : kSixTenants) names.push_back(spec.name);
+    FleetController fleet(fast_options(dir_), kBoundedSwitches, kSixTenants);
+    const auto cluster =
+        workload::split_by_flow(workload::zipf_trace(3072, 400, 1.2, 31), names, 31);
+    std::uint64_t fed = 0;
+    for (const auto& packet : cluster) {
+        if (fed == 1024) fleet.kill_switch("sw2");
+        if (fed == 2048) fleet.revive_switch("sw2");
+        fleet.step(packet.tenant, packet.key);
+        if (++fed % 256 == 0) fleet.tick();
+    }
+    ASSERT_TRUE(has_event(fleet, FleetEventKind::Failover));
+    ASSERT_TRUE(has_event(fleet, FleetEventKind::Degrade));
+    ASSERT_TRUE(has_event(fleet, FleetEventKind::Restore));
+    EXPECT_GT(fleet.epochs_reused(), 0u) << "failovers must have taken cached epochs";
+
+    // Cold recovery: the same journal, replayed by a runtime with no cache.
+    // A checkpoint first pins each live state as the journal's last commit.
+    for (const TenantSpec& spec : kSixTenants) {
+        ASSERT_FALSE(fleet.parked(spec.name)) << spec.name;
+        runtime::require_committed(fleet.runtime_of(spec.name)->reconfigure("checkpoint"));
+        const std::string copy = dir_ + "_cold_" + spec.name;
+        std::filesystem::remove_all(copy);
+        std::filesystem::copy(dir_ + "/" + spec.name, copy,
+                              std::filesystem::copy_options::recursive);
+        runtime::RuntimeOptions options = fast_options(dir_).runtime;
+        options.journal_dir = copy;
+        const runtime::AppDriver driver = runtime::make_driver(spec.app);
+        const auto cold = runtime::ElasticRuntime::recover(spec.name, driver.source, options,
+                                                           driver.profile);
+        const runtime::ElasticRuntime& live = *fleet.runtime_of(spec.name);
+        EXPECT_EQ(cold->epoch(), live.epoch()) << spec.name;
+        EXPECT_EQ(cold->compiled().utility, live.compiled().utility) << spec.name;
+        EXPECT_EQ(cold->compiled().p4_source, live.compiled().p4_source) << spec.name;
+        EXPECT_EQ(runtime::take_snapshot(cold->pipeline(), cold->epoch()).checksum(),
+                  fleet.digest(spec.name))
+            << spec.name;
+        std::filesystem::remove_all(copy);
+    }
+}
+
+TEST_F(FleetTest, EpochCacheStaysWithinTenantsTimesLadderRungs) {
+    FleetOptions options = fast_options(dir_);
+    // One rung: a bound of one epoch per tenant, which drift swaps overflow.
+    options.max_degrade_level = 0;
+    std::vector<std::string> names;
+    for (const TenantSpec& spec : kSixTenants) names.push_back(spec.name);
+    FleetController fleet(options, kBoundedSwitches, kSixTenants);
+    const std::size_t bound = kSixTenants.size() * (options.max_degrade_level + 1);
+
+    // A new hot set every 2 windows: drift swaps keep adding profiles.
+    const auto cluster = workload::split_by_flow(
+        workload::zipf_drifting_trace(12288, 2000, 1.2, 17, 2), names, 17);
+    std::uint64_t fed = 0;
+    for (const auto& packet : cluster) {
+        if (fed % 4096 == 1024) fleet.kill_switch("sw" + std::to_string(fed / 4096 % 3));
+        if (fed % 4096 == 3072) fleet.revive_switch("sw" + std::to_string(fed / 4096 % 3));
+        fleet.step(packet.tenant, packet.key);
+        if (++fed % 256 == 0) fleet.tick();
+        ASSERT_LE(fleet.epochs_cached(), bound) << "after packet " << fed;
+    }
+    EXPECT_GT(fleet.epochs_compiled(), bound) << "the trace must push the cache past its bound";
+    EXPECT_GT(fleet.epochs_reused(), 0u);
 }
 
 std::pair<std::vector<std::string>, std::uint64_t> run_scenario(int threads,

@@ -120,8 +120,8 @@ TEST(CliArgsTest, DoubleRejectsGarbageAndNonFinite) {
 }
 
 TEST(CliArgsTest, CliUsageCodeIsStable) {
-    EXPECT_EQ(errc_code(Errc::CliUsage), "P4ALL-0105");
-    EXPECT_EQ(errc_name(Errc::CliUsage), "cli-usage");
+    EXPECT_STREQ(errc_code(Errc::CliUsage), "P4ALL-0105");
+    EXPECT_STREQ(errc_name(Errc::CliUsage), "cli-usage");
 }
 
 }  // namespace

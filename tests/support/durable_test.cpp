@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -15,6 +17,18 @@
 
 #include "common/temp_path.hpp"
 #include "support/error.hpp"
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define P4ALL_DURABLE_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define P4ALL_DURABLE_TSAN 1
+#endif
+#endif
 
 namespace p4all::support {
 namespace {
@@ -243,6 +257,55 @@ TEST_F(DurableLog, OversizedRecordsAreRefusedBeforeAnyByteIsWritten) {
     const LogScan scan = scan_log(path_, kTestLog);
     EXPECT_TRUE(scan.clean) << scan.damage;
     EXPECT_EQ(scan.records, (std::vector<std::string>{"fits"}));
+}
+
+#if defined(__linux__)
+/// The child of the partial-append test: appends one record, then one that
+/// crosses a file-size limit set just past the log, then — with the limit
+/// lifted — one more through the same handle. Exits 0 only when the second
+/// append failed with the caller's code and left the file at its
+/// acknowledged size.
+[[noreturn]] void append_across_a_size_limit(const std::string& path) {
+    std::signal(SIGXFSZ, SIG_IGN);  // a write past the limit fails with EFBIG instead
+    RecordLog log(path, kTestLog);
+    log.append("acked-2");
+    const auto acked = fs::file_size(path);
+    rlimit limit{};
+    if (getrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+    const rlim_t original = limit.rlim_cur;
+    limit.rlim_cur = acked + 5;  // the next frame's first 5 bytes fit
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+    if (code_of([&] { log.append(std::string(64, 'x')); }) != Errc::SnapshotError) std::_Exit(3);
+    if (fs::file_size(path) != acked) std::_Exit(4);
+    limit.rlim_cur = original;
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+    log.append("acked-3");
+    std::_Exit(0);
+}
+#endif
+
+TEST_F(DurableLog, AppendFailingPartWayLeavesNoTornBytesForLaterAppends) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "relies on RLIMIT_FSIZE and SIGXFSZ";
+#elif defined(P4ALL_DURABLE_TSAN)
+    GTEST_SKIP() << "fork-based cells are not TSan-compatible";
+#else
+    {
+        RecordLog log(path_, kTestLog);
+        log.append("acked-1");
+    }
+    // Forked: the size limit and the ignored signal must not leak into the
+    // rest of the suite.
+    EXPECT_EXIT(append_across_a_size_limit(path_), ::testing::ExitedWithCode(0), "");
+
+    const LogScan scan = scan_log(path_, kTestLog);
+    EXPECT_TRUE(scan.clean) << scan.damage;
+    EXPECT_EQ(scan.records, (std::vector<std::string>{"acked-1", "acked-2", "acked-3"}));
+    LogScan opened;
+    { RecordLog log(path_, kTestLog, &opened); }
+    EXPECT_TRUE(opened.clean) << opened.damage;
+    EXPECT_EQ(opened.records, scan.records);
+#endif
 }
 
 TEST(DurableReplace, ReplacesTheWholeFileAndLeavesNoTemp) {
