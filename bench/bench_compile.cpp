@@ -1,11 +1,12 @@
 // BENCH_compile.json: end-to-end compile latency with the solver-core
-// backends swapped — the dense serial pipeline (the historical default)
-// against the sparse revised simplex + deterministic best-first search the
-// resilient portfolio now tries first. Same schema and --check gate as
+// LP backends swapped — the serial dense tableau (compile()'s default)
+// against the sparse revised simplex on every core, the engine every rung
+// of the resilient portfolio runs. Both arms use the same deterministic
+// best-first search. Same schema and --check gate as
 // bench_ilp, so CI can hold compile latency to the committed baseline.
 //
 // The `<app>-opt` instances hold the IR optimizer to its overhead budget:
-// dense = the same sparse/best-first compile at -O0, sparse = at -O1
+// dense = the same sparse compile at -O0, sparse = at -O1
 // (dataflow analyses + rewrite passes + certificate emission included), so
 // the baseline gate fails if optimizing ever costs more than the usual
 // 25% + 5 ms over a non-optimizing compile.
@@ -37,12 +38,11 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
     rep.name = name;
     rep.kind = "compile";
 
-    const auto run = [&](ilp::LpBackend backend, ilp::SearchMode search) {
+    const auto run = [&](ilp::LpBackend backend, int threads) {
         compiler::CompileOptions o;
         o.backend = compiler::Backend::Ilp;
         o.solve.lp_backend = backend;
-        o.solve.search = search;
-        o.solve.threads = 0;
+        o.solve.threads = threads;
         // compile_source seeds branch-and-bound from the greedy layout; the
         // budget bounds instances (netcache) whose honest root gap is not
         // closable at bench scale.
@@ -53,14 +53,14 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
         return std::pair<std::int64_t, std::int64_t>(r.stats.lp_iterations, r.stats.bb_nodes);
     };
 
-    rep.dense = bench::measure(
-        reps, [&] { return run(ilp::LpBackend::Dense, ilp::SearchMode::Dfs); });
-    rep.sparse = bench::measure(
-        reps, [&] { return run(ilp::LpBackend::Sparse, ilp::SearchMode::BestFirst); });
+    // The dense arm is compile()'s default path: serial. The sparse arm
+    // splits each batch's node LPs over every core.
+    rep.dense = bench::measure(reps, [&] { return run(ilp::LpBackend::Dense, 1); });
+    rep.sparse = bench::measure(reps, [&] { return run(ilp::LpBackend::Sparse, 0); });
     return rep;
 }
 
-/// Optimizer-overhead A/B: the identical sparse/best-first compile with the
+/// Optimizer-overhead A/B: the identical sparse compile with the
 /// IR optimizer off (dense column) and on (sparse column).
 bench::InstanceReport bench_app_opt_level(const std::string& name, const std::string& source,
                                           int reps, double budget_seconds) {
@@ -72,7 +72,6 @@ bench::InstanceReport bench_app_opt_level(const std::string& name, const std::st
         compiler::CompileOptions o;
         o.backend = compiler::Backend::Ilp;
         o.solve.lp_backend = ilp::LpBackend::Sparse;
-        o.solve.search = ilp::SearchMode::BestFirst;
         o.solve.threads = 0;
         o.solve.time_limit_seconds = budget_seconds;
         o.opt_level = opt_level;

@@ -1,7 +1,7 @@
 // BENCH_ilp.json: the solver-core perf harness.
 //
-// Times the sparse revised simplex (+ deterministic best-first search for
-// the MILPs) against the dense tableau baseline over (a) the four paper
+// Times the sparse revised simplex against the dense tableau baseline (for
+// the MILPs, both under the same deterministic best-first search) over (a) the four paper
 // applications' generated MILPs at multiple unroll depths and (b) synthetic
 // placement-style LPs whose size/sparsity mirror deeply unrolled programs —
 // the regime the sparse backend exists for. Emits median/p95 wall time,
@@ -112,7 +112,8 @@ bench::InstanceReport bench_lp(const std::string& name, const ilp::Model& model,
 }
 
 ilp::SolveOptions dense_options(const AppMilp& inst, double budget_seconds) {
-    ilp::SolveOptions o;  // dense tableau, serial DFS: the historical path
+    ilp::SolveOptions o;  // dense tableau, one thread: compile()'s default
+    o.threads = 1;
     o.warm_start = inst.warm_start;
     o.time_limit_seconds = budget_seconds;
     return o;
@@ -121,7 +122,6 @@ ilp::SolveOptions dense_options(const AppMilp& inst, double budget_seconds) {
 ilp::SolveOptions sparse_options(const AppMilp& inst, double budget_seconds) {
     ilp::SolveOptions o;
     o.lp_backend = ilp::LpBackend::Sparse;
-    o.search = ilp::SearchMode::BestFirst;
     o.threads = 0;  // hardware concurrency
     o.warm_start = inst.warm_start;
     o.time_limit_seconds = budget_seconds;

@@ -114,7 +114,6 @@ void BM_BestFirstParallelKnapsack(benchmark::State& state) {
     model.set_objective(value);
     SolveOptions o;
     o.lp_backend = LpBackend::Sparse;
-    o.search = SearchMode::BestFirst;
     o.threads = static_cast<int>(state.range(0));
     for (auto _ : state) {
         const Solution s = solve_milp(model, o);
@@ -122,20 +121,6 @@ void BM_BestFirstParallelKnapsack(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_BestFirstParallelKnapsack)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_SimplexBounded_vs_Textbook(benchmark::State& state) {
-    // Same model through the production bounded-variable solver and the
-    // textbook oracle (arg 0/1 selects), showing why bounds must be
-    // implicit: the textbook form adds one row per finite bound.
-    const Model model = random_lp(96, 96, 7);
-    const bool textbook = state.range(0) == 1;
-    for (auto _ : state) {
-        const LpResult r = textbook ? solve_lp_textbook(model) : solve_lp(model);
-        benchmark::DoNotOptimize(r.objective);
-    }
-    state.SetLabel(textbook ? "textbook" : "bounded");
-}
-BENCHMARK(BM_SimplexBounded_vs_Textbook)->Arg(0)->Arg(1);
 
 void BM_BranchBoundKnapsack(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));

@@ -14,8 +14,9 @@
 //                            the ILP certificate (src/audit/); rejection
 //                            fails the compilation
 //     --resilient            compile through the fallback portfolio (ILP ->
-//                            Bland restart -> greedy -> exhaustive), each
-//                            attempt audit-gated; prints the attempt record
+//                            Bland restart -> -O0 -> greedy -> exhaustive,
+//                            starting at --backend), each attempt
+//                            audit-gated; prints the attempt record
 //     --deadline <seconds>   wall-clock budget for the compile (cooperative:
 //                            every phase polls it and stops cleanly)
 //     --opt-level <0|1>      IR optimizer level (default 1; 0 disables the
@@ -207,9 +208,18 @@ int main(int argc, char** argv) {
         }
         std::printf("%s", result.layout.to_string(result.program).c_str());
         if (!quiet) {
-            std::printf("ILP: %d variables, %d constraints, %lld branch-and-bound nodes\n",
+            // A search that stopped early (deadline, node cap, numerical
+            // trouble) still ships its incumbent; say that it is unproven.
+            std::string proof;
+            if (result.artifacts && result.artifacts->has_ilp) {
+                const p4all::ilp::Solution& sol = result.artifacts->solution;
+                proof = sol.optimal() ? ", optimal"
+                                      : std::string(", unproven (") +
+                                            p4all::support::errc_name(sol.error) + ")";
+            }
+            std::printf("ILP: %d variables, %d constraints, %lld branch-and-bound nodes%s\n",
                         result.stats.ilp_vars, result.stats.ilp_constraints,
-                        static_cast<long long>(result.stats.bb_nodes));
+                        static_cast<long long>(result.stats.bb_nodes), proof.c_str());
         }
         if (show_report) {
             const p4all::compiler::UsageReport usage =

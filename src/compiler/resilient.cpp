@@ -17,6 +17,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Cost-perturbation seed of the ilp-bland restart; recorded in its
+/// AttemptReport so the restart replays bit-for-bit.
+constexpr std::uint64_t kRestartPerturbSeed = 0x5EEDBA5EULL;
+
 double since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -118,84 +122,66 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
     };
 
     // Every attempt emits artifacts (the gate needs them) and shares the
-    // hard pipeline stop so greedy search and codegen stay bounded too.
+    // hard pipeline stop so greedy search and codegen stay bounded too. Every
+    // ILP rung relaxes its nodes with the sparse revised simplex on all
+    // cores; the search is bit-identical at any thread count.
     CompileOptions common = base;
     common.emit_artifacts = true;
     common.deadline = hard;
-    common.exhaustive_max_combinations = res.exhaustive_max_combinations;
+    common.solve.lp_backend = ilp::LpBackend::Sparse;
+    common.solve.threads = 0;
 
-    // Did the most recent attempt fail in a way a pivot-path restart could
-    // plausibly sidestep?
+    // The caller's backend names the first rung; the portfolio falls through
+    // to the cheaper ones from there.
+    const bool run_ilp = base.backend == Backend::Ilp;
+    const bool run_greedy = base.backend != Backend::Exhaustive;
+
+    // 1. The fast path gets the first (and largest) slice of the budget.
+    // `restart_worthwhile` records whether it failed in a way a pivot-path
+    // restart could plausibly sidestep.
     bool restart_worthwhile = false;
-    const auto note_ilp_failure = [&] {
-        const AttemptOutcome last = report.attempts.back().outcome;
-        restart_worthwhile = restart_worthwhile ||
-                             last == AttemptOutcome::NumericalTrouble ||
-                             last == AttemptOutcome::AuditRejected;
-    };
-
-    // 1. Sparse revised simplex + deterministic parallel best-first search:
-    // the fast path gets the first (and largest) slice of the budget.
-    if (res.try_ilp_sparse) {
+    if (run_ilp) {
         if (overall.cancelled()) {
             skip("ilp-sparse", "cancellation requested before start");
         } else {
             CompileOptions o = common;
-            o.backend = Backend::Ilp;
-            o.solve.lp_backend = ilp::LpBackend::Sparse;
-            o.solve.search = ilp::SearchMode::BestFirst;
-            o.solve.threads = res.sparse_threads;
             o.solve.deadline =
                 o.solve.deadline.merged(overall.tightened(0.5 * res.budget_seconds));
-            if (!run_attempt("ilp-sparse", o, o.solve.lp.perturb_seed)) note_ilp_failure();
+            if (!run_attempt("ilp-sparse", o, o.solve.lp.perturb_seed)) {
+                const AttemptOutcome last = report.attempts.back().outcome;
+                restart_worthwhile = last == AttemptOutcome::NumericalTrouble ||
+                                     last == AttemptOutcome::AuditRejected;
+            }
         }
     }
 
-    // 2. Dense-tableau serial engine: same model, the maximally proven
-    // implementation — catches instances where the sparse factorization ran
-    // into numerical trouble.
-    if (!accepted && res.try_ilp) {
-        if (overall.cancelled()) {
-            skip("ilp", "cancellation requested");
-        } else if (hard.expired()) {
-            skip("ilp", "hard stop reached");
-        } else {
-            CompileOptions o = common;
-            o.backend = Backend::Ilp;
-            o.solve.deadline =
-                o.solve.deadline.merged(overall.tightened(0.35 * res.budget_seconds));
-            if (!run_attempt("ilp", o, o.solve.lp.perturb_seed)) note_ilp_failure();
-        }
-    }
-
-    // 3. ILP restart: Bland's rule from iteration 0, a reseeded cost
+    // 2. ILP restart: Bland's rule from iteration 0, a reseeded cost
     // perturbation, and root cutting planes disabled — a different pivot
     // path around the breakdown with the numerically simplest root
     // relaxation (no separation rounds, no cut rows in the factorization).
     // Only worth paying for when the first solve hit numerical trouble or
     // shipped a layout the audit refused.
-    if (!accepted && res.try_ilp_restart) {
+    if (!accepted && run_ilp) {
         if (overall.cancelled()) {
             skip("ilp-bland", "cancellation requested");
         } else if (!restart_worthwhile) {
             skip("ilp-bland", "restart only follows numerical trouble or audit rejection");
         } else {
             CompileOptions o = common;
-            o.backend = Backend::Ilp;
             o.solve.lp.force_bland = true;
-            o.solve.lp.perturb_seed = res.restart_perturb_seed;
+            o.solve.lp.perturb_seed = kRestartPerturbSeed;
             o.solve.cuts_enabled = false;
             o.solve.deadline = hard.tightened(0.3 * res.budget_seconds);
-            (void)run_attempt("ilp-bland", o, res.restart_perturb_seed);
+            (void)run_attempt("ilp-bland", o, kRestartPerturbSeed);
         }
     }
 
-    // 3b. Optimizer bypass: when an attempt's layout was refused by an audit
+    // 3. Optimizer bypass: when an attempt's layout was refused by an audit
     // gate and the compile ran the IR optimizer, retry once at -O0 — a
     // rejected rewrite chain (or an external gate that distrusts it) should
     // not cost the whole compile. No skip record otherwise: the rung only
     // exists after an audit rejection.
-    if (!accepted && common.opt_level >= 1) {
+    if (!accepted && run_ilp && common.opt_level >= 1) {
         bool saw_audit_rejection = false;
         for (const AttemptReport& a : report.attempts) {
             saw_audit_rejection =
@@ -203,7 +189,6 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
         }
         if (saw_audit_rejection && !overall.cancelled() && !hard.expired()) {
             CompileOptions o = common;
-            o.backend = Backend::Ilp;
             o.opt_level = 0;
             o.solve.deadline = hard.tightened(0.3 * res.budget_seconds);
             (void)run_attempt("ilp-O0", o, o.solve.lp.perturb_seed);
@@ -211,7 +196,7 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
     }
 
     // 4. Greedy: cheap, audit-checked, never claims optimality.
-    if (!accepted && res.try_greedy) {
+    if (!accepted && run_greedy) {
         if (overall.cancelled()) {
             skip("greedy", "cancellation requested");
         } else if (hard.expired()) {
@@ -226,7 +211,7 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
 
     // 5. Exhaustive enumeration: tiny models only; the combination cap makes
     // oversized domains a quick structured refusal rather than a blowup.
-    if (!accepted && res.try_exhaustive) {
+    if (!accepted) {
         if (overall.cancelled()) {
             skip("exhaustive", "cancellation requested");
         } else if (hard.expired()) {

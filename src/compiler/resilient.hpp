@@ -1,20 +1,22 @@
-// Resilient compilation driver: runs a configurable fallback portfolio
-// until one backend produces an accepted layout or the portfolio is
-// exhausted.
+// Resilient compilation driver: runs a fallback portfolio until one backend
+// produces an accepted layout or the portfolio is exhausted. Every ILP rung
+// runs branch-and-bound over the sparse revised simplex with the
+// deterministic parallel best-first search.
 //
-//   1. ilp-sparse   branch-and-bound over the sparse revised simplex with
-//                   the deterministic parallel best-first engine — the fast
-//                   path, first choice; anytime like every ILP rung.
-//   2. ilp          the dense-tableau serial engine. Slower but maximally
-//                   battle-tested; catches the (rare) instance where the
-//                   sparse factorization hits numerical trouble.
-//   3. ilp-bland    restart with Bland's rule forced from iteration 0 and a
-//                   perturbed (logged, reproducible) cost tilt; tried only
-//                   after numerical trouble or an audit rejection, where a
-//                   different pivot path may sidestep the breakdown.
+//   1. ilp-sparse   the fast path, first choice; anytime like every ILP rung.
+//   2. ilp-bland    restart with Bland's rule forced from iteration 0, a
+//                   perturbed (logged, reproducible) cost tilt and no root
+//                   cuts; tried only after numerical trouble or an audit
+//                   rejection, where a different pivot path may sidestep the
+//                   breakdown.
+//   3. ilp-O0       the same solve with the IR optimizer bypassed; tried only
+//                   after an audit rejection of an -O1 compile.
 //   4. greedy       heuristic list scheduling — fast, never optimal-claiming.
-//   5. exhaustive   full integer enumeration, tiny models only (guarded by a
-//                   combination cap).
+//   5. exhaustive   full integer enumeration, tiny models only (guarded by
+//                   CompileOptions::exhaustive_max_combinations).
+//
+// CompileOptions::backend names the first rung: Ilp runs the whole
+// portfolio, Greedy starts at greedy, Exhaustive runs exhaustive only.
 //
 // Every attempt is audited (the compiler's built-in audit_layout plus an
 // optional external gate such as audit::make_resilience_gate()) before
@@ -43,25 +45,8 @@ struct ResilienceOptions {
     /// Cooperative cancellation, observed by every phase of every attempt.
     support::CancelToken cancel;
 
-    bool try_ilp_sparse = true;
-    bool try_ilp = true;
-    bool try_ilp_restart = true;
-    bool try_greedy = true;
-    bool try_exhaustive = true;
-
-    /// Worker threads for the ilp-sparse rung's parallel best-first search
-    /// (0 picks the hardware concurrency). Any value produces bit-identical
-    /// layouts — see SearchMode::BestFirst.
-    int sparse_threads = 0;
-
-    /// Combination cap for the exhaustive backend.
-    std::int64_t exhaustive_max_combinations = 4096;
-    /// Cost-perturbation seed for the ilp-bland restart; recorded in the
-    /// AttemptReport so the restart replays bit-for-bit.
-    std::uint64_t restart_perturb_seed = 0x5EEDBA5EULL;
-
     /// Optional external acceptance gate run over each successful attempt's
-    /// artifacts (e.g. audit::make_resilience_gate(), which runs the five
+    /// artifacts (e.g. audit::make_resilience_gate(), which runs the nine
     /// independent audit passes). Returns an empty string to accept, or a
     /// rejection message; rejection falls through to the next backend. The
     /// driver cannot call the audit layer directly (it links the other way),
@@ -69,10 +54,10 @@ struct ResilienceOptions {
     std::function<std::string(const ir::Program&, const CompileArtifacts&)> external_gate;
 };
 
-/// Total-failure result: every enabled backend failed or was rejected. The
-/// code() is the most meaningful failure in the portfolio (Cancelled >
-/// Infeasible > AuditRejected > DeadlineExceeded > NoLayoutFound) and
-/// `report` holds the per-attempt record.
+/// Total-failure result: every rung the portfolio ran failed or was
+/// rejected. The code() is the most meaningful failure in the portfolio
+/// (Cancelled > Infeasible > AuditRejected > DeadlineExceeded >
+/// NoLayoutFound) and `report` holds the per-attempt record.
 class ResilientError : public support::Error {
 public:
     ResilientError(support::Errc code, const std::string& message, ResilienceReport rep);

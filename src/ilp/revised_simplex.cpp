@@ -1043,15 +1043,6 @@ private:
 
 }  // namespace
 
-const char* to_string(LpBackend backend) noexcept {
-    switch (backend) {
-        case LpBackend::Sparse: return "sparse";
-        case LpBackend::Dense: return "dense";
-        case LpBackend::Textbook: return "textbook";
-    }
-    return "?";
-}
-
 LpResult solve_lp_sparse(const Model& model, const std::vector<double>* lb,
                          const std::vector<double>* ub, const LpOptions& options) {
     std::vector<double> lb_local;
@@ -1083,12 +1074,8 @@ LpResult solve_lp_sparse(const Model& model, const std::vector<double>* lb,
 
 LpResult solve_lp_with(LpBackend backend, const Model& model, const std::vector<double>* lb,
                        const std::vector<double>* ub, const LpOptions& options) {
-    switch (backend) {
-        case LpBackend::Sparse: return solve_lp_sparse(model, lb, ub, options);
-        case LpBackend::Dense: return solve_lp(model, lb, ub, options);
-        case LpBackend::Textbook: return solve_lp_textbook(model, lb, ub, options);
-    }
-    return solve_lp(model, lb, ub, options);
+    return backend == LpBackend::Sparse ? solve_lp_sparse(model, lb, ub, options)
+                                        : solve_lp(model, lb, ub, options);
 }
 
 }  // namespace p4all::ilp

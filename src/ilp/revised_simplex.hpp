@@ -25,16 +25,13 @@
 
 namespace p4all::ilp {
 
-/// Which LP implementation services a relaxation solve. All three satisfy
-/// the LpResult contract (values, duals, bound, bound_slack), so callers —
+/// Which LP implementation services a relaxation solve. Both satisfy the
+/// LpResult contract (values, duals, bound, bound_slack), so callers —
 /// branch-and-bound above all — are backend-agnostic.
 enum class LpBackend {
-    Sparse,    // revised simplex over CSC + eta-file (this header)
-    Dense,     // bounded-variable dense tableau (simplex.cpp)
-    Textbook,  // explicit-row two-phase reference (simplex_textbook.cpp)
+    Dense,   // bounded-variable dense tableau (simplex.cpp)
+    Sparse,  // revised simplex over CSC + eta-file (this header)
 };
-
-[[nodiscard]] const char* to_string(LpBackend backend) noexcept;
 
 /// Solves the LP relaxation with the sparse revised simplex. Same semantics
 /// as solve_lp; `lb`/`ub` override model bounds when non-null.

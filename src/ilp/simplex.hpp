@@ -147,11 +147,4 @@ struct LpOptions {
                                 const std::vector<double>* ub = nullptr,
                                 const LpOptions& options = {});
 
-/// Reference textbook implementation (explicit upper-bound rows, two-phase).
-/// Much slower; used by tests as an independent oracle for solve_lp.
-[[nodiscard]] LpResult solve_lp_textbook(const Model& model,
-                                         const std::vector<double>* lb = nullptr,
-                                         const std::vector<double>* ub = nullptr,
-                                         const LpOptions& options = {});
-
 }  // namespace p4all::ilp

@@ -53,7 +53,7 @@ bool try_rounding(const Model& model, const std::vector<double>& lp_values,
 
 /// Per-variable branching history: the average objective degradation per
 /// unit of fractionality closed, kept separately for the down and the up
-/// child. Every observation is recorded in the engines' serial commit
+/// child. Every observation is recorded in the engine's serial commit
 /// sections, so the table's state at any decision point is a pure function
 /// of the search tree — never of thread timing — and the pseudocost-guided
 /// tree stays bit-identical at every thread count.
@@ -80,8 +80,7 @@ public:
     /// to the global average (the cheap half of reliability branching), and
     /// before any observation at all the estimate is 1.0 — which makes the
     /// product score degenerate to f·(1−f), i.e. plain most-fractional
-    /// selection, so the first branching decision matches the historical
-    /// engine.
+    /// selection.
     [[nodiscard]] double estimate(int var, bool up) const {
         const std::size_t k = slot(var, up);
         if (cnt_[k] > 0) return sum_[k] / static_cast<double>(cnt_[k]);
@@ -100,8 +99,8 @@ private:
     std::int64_t global_cnt_ = 0;
 };
 
-/// Branch-variable selection shared by both engines: highest priority class
-/// first; within the class, the largest pseudocost product score
+/// Branch-variable selection: highest priority class first; within the
+/// class, the largest pseudocost product score
 /// max(est_down·f, ε)·max(est_up·(1−f), ε) — the standard "expected
 /// degradation in both children" criterion. Exact score ties (common before
 /// any history exists) break on larger fractionality, then smallest index.
@@ -148,7 +147,7 @@ void snap_integers(const Model& model, std::vector<double>& values) {
     }
 }
 
-/// Everything both engines need beyond SolveOptions, prepared once by
+/// Everything the search needs beyond SolveOptions, prepared once by
 /// solve_milp: the model to evaluate feasibility/objectives against (`base`,
 /// no cut rows), the model every LP relaxes (`work`, base + certified cut
 /// rows), the presolved root bounds (which double as the frozen perturbation
@@ -170,20 +169,6 @@ struct SearchContext {
     bool use_warm = false;
 };
 
-struct Node {
-    std::vector<double> lb;
-    std::vector<double> ub;
-    /// Parent's optimal basis (shared by both children; null at the root
-    /// unless the cut loop captured one).
-    std::shared_ptr<const SimplexBasis> warm;
-    // Pseudocost bookkeeping: which branch created this node, and the
-    // parent's LP objective to measure the degradation against.
-    int branch_var = -1;
-    bool branch_up = false;
-    double branch_frac = 0.0;
-    double parent_obj = 0.0;
-};
-
 // ---------------------------------------------------------------------------
 // Deterministic parallel best-first search
 // ---------------------------------------------------------------------------
@@ -198,20 +183,24 @@ struct Node {
 /// sweep those plateaus breadth-first, exploding the frontier before any
 /// incumbent exists. LIFO dives like DFS on plateaus while still jumping to
 /// strictly better-bounded subtrees, and is just as deterministic.
-struct BfNode {
+struct Node {
     std::vector<double> lb;
     std::vector<double> ub;
     double bound = kInfinity;
     std::uint64_t seq = 0;
+    /// Parent's optimal basis (shared by both children; null at the root
+    /// unless the cut loop captured one).
     std::shared_ptr<const SimplexBasis> warm;
+    // Pseudocost bookkeeping: which branch created this node, and the
+    // parent's LP objective to measure the degradation against.
     int branch_var = -1;
     bool branch_up = false;
     double branch_frac = 0.0;
     double parent_obj = 0.0;
 };
 
-struct BfNodeOrder {
-    bool operator()(const BfNode& a, const BfNode& b) const {
+struct NodeOrder {
+    bool operator()(const Node& a, const Node& b) const {
         if (a.bound != b.bound) return a.bound < b.bound;  // max-heap on bound
         return a.seq < b.seq;                              // then LIFO (dive)
     }
@@ -355,9 +344,9 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
     };
 
     Pseudocosts pc(base.num_vars());
-    std::priority_queue<BfNode, std::vector<BfNode>, BfNodeOrder> queue;
+    std::priority_queue<Node, std::vector<Node>, NodeOrder> queue;
     {
-        BfNode root;
+        Node root;
         root.lb = *ctx.root_lb;
         root.ub = *ctx.root_ub;
         root.warm = ctx.root_basis;
@@ -370,7 +359,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                             : std::max(1u, std::thread::hardware_concurrency());
     LpWorkerPool pool(threads - 1);
 
-    std::vector<BfNode> batch;
+    std::vector<Node> batch;
     std::vector<LpResult> results;
     std::vector<SimplexBasis> captures;
     const auto finish = [&](SolveStatus status, support::Errc error,
@@ -402,7 +391,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                 }
                 break;
             }
-            BfNode node = std::move(const_cast<BfNode&>(queue.top()));
+            Node node = std::move(const_cast<Node&>(queue.top()));
             queue.pop();
             ++best.nodes;
             // Parent-bound pruning uses the incumbent as of this serial
@@ -431,7 +420,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
         captures.assign(batch.size(), SimplexBasis{});
         pool.run(static_cast<int>(batch.size()), [&](int i) {
             const std::size_t is = static_cast<std::size_t>(i);
-            const BfNode& node = batch[is];
+            const Node& node = batch[is];
             LpOptions node_options = lp_options;
             if (ctx.use_warm) {
                 if (node.warm != nullptr && !node.warm->empty()) {
@@ -445,7 +434,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
 
         // --- serial commit, in batch (deterministic) order ------------
         for (std::size_t k = 0; k < batch.size(); ++k) {
-            BfNode& node = batch[k];
+            Node& node = batch[k];
             const LpResult& lp = results[k];
             best.lp_iterations += lp.iterations;
             // Pseudocost observation, in commit order (determinism).
@@ -504,7 +493,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
             }
 
             // Incumbent heuristic at the root and occasionally afterwards
-            // (same cadence as the serial engine, counted in commit order).
+            // (every 64th node, counted in commit order).
             if (!have_incumbent || (best.nodes & 0x3F) == 0) {
                 std::vector<double> rounded;
                 if (try_rounding(base, lp.values, rounded)) {
@@ -526,7 +515,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
             const double v = std::clamp(lp.values[bidx], node.lb[bidx], node.ub[bidx]);
             const double floor_v = std::floor(v);
             const double f = v - floor_v;
-            BfNode down;
+            Node down;
             down.lb = node.lb;
             down.ub = node.ub;
             down.ub[bidx] = std::min(down.ub[bidx], floor_v);
@@ -536,7 +525,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
             down.branch_up = false;
             down.branch_frac = f;
             down.parent_obj = lp.objective;
-            BfNode up;
+            Node up;
             up.lb = std::move(node.lb);
             up.ub = std::move(node.ub);
             up.lb[bidx] = std::max(up.lb[bidx], floor_v + 1);
@@ -550,7 +539,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
             const bool up_valid = up.lb[bidx] <= up.ub[bidx];
             // The preferred child (structural dive / LP-suggested side)
             // gets the larger sequence number: ties on the bound pop
-            // newest-first, so it is explored first — mirroring the DFS dive.
+            // newest-first, so it is explored first — a depth-first dive.
             const bool up_first = branch.prio > 0 || f > 0.5;
             if (up_first) {
                 if (down_valid) {
@@ -581,210 +570,6 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
         best.status = SolveStatus::Limit;
     }
     return best;
-}
-
-// ---------------------------------------------------------------------------
-// Serial depth-first search (the historical engine)
-// ---------------------------------------------------------------------------
-
-Solution solve_milp_dfs(const SearchContext& ctx, const SolveOptions& options,
-                        const support::Deadline& deadline) {
-    const Model& base = *ctx.base;
-    const Model& work = *ctx.work;
-    LpOptions lp_options = options.lp;
-    lp_options.deadline = deadline;
-    lp_options.perturb_ref_lb = ctx.root_lb;
-    lp_options.perturb_ref_ub = ctx.root_ub;
-
-    Solution out;
-    out.status = SolveStatus::Infeasible;
-
-    bool have_incumbent = false;
-    bool abandoned_subtree = false;
-    double incumbent_obj = -kInfinity;
-    if (!options.warm_start.empty() && base.is_feasible(options.warm_start, 1e-6)) {
-        have_incumbent = true;
-        incumbent_obj = base.objective().evaluate(options.warm_start);
-        out.values = options.warm_start;
-        out.objective = incumbent_obj;
-    }
-
-    Pseudocosts pc(base.num_vars());
-    std::vector<Node> stack;
-    {
-        Node root;
-        root.lb = *ctx.root_lb;
-        root.ub = *ctx.root_ub;
-        root.warm = ctx.root_basis;
-        stack.push_back(std::move(root));
-    }
-
-    while (!stack.empty()) {
-        if (out.nodes >= options.max_nodes) {
-            out.status = SolveStatus::Limit;
-            out.error = support::Errc::ResourceLimit;
-            out.error_detail = "node limit reached (" +
-                               std::to_string(options.max_nodes) + " nodes)";
-            return out;
-        }
-        if (deadline.expired()) {
-            out.status = SolveStatus::Limit;
-            out.error = deadline.cancelled() ? support::Errc::Cancelled
-                                             : support::Errc::DeadlineExceeded;
-            out.error_detail = deadline.cancelled()
-                                   ? "cancellation requested during search"
-                                   : "time budget exhausted during search";
-            return out;
-        }
-        Node node = std::move(stack.back());
-        stack.pop_back();
-        ++out.nodes;
-
-        // Fault point: simulates a node whose relaxation blew up — the
-        // subtree is abandoned, so the search ends incomplete (Limit,
-        // never a false Optimal).
-        if (support::fault_fires("bnb.node")) {
-            abandoned_subtree = true;
-            continue;
-        }
-
-        SimplexBasis captured;
-        if (ctx.use_warm) {
-            lp_options.warm_basis =
-                node.warm != nullptr && !node.warm->empty() ? node.warm.get() : nullptr;
-            lp_options.capture_basis = &captured;
-        }
-        const LpResult lp =
-            solve_lp_with(options.lp_backend, work, &node.lb, &node.ub, lp_options);
-        out.lp_iterations += lp.iterations;
-        if (node.branch_var >= 0 && lp.status == LpStatus::Optimal) {
-            pc.record(node.branch_var, node.branch_up,
-                      node.branch_up ? 1.0 - node.branch_frac : node.branch_frac,
-                      node.parent_obj - lp.objective);
-        }
-        if (!ctx.root_certified && out.nodes == 1 && lp.status == LpStatus::Optimal) {
-            // Root relaxation: keep its dual certificate so the audit
-            // layer can independently witness the global bound.
-            out.root_duals = lp.duals;
-            out.root_bound = lp.bound;
-            out.root_bound_slack = lp.bound_slack;
-        }
-        if (lp.status == LpStatus::Infeasible) continue;
-        if (lp.status == LpStatus::Unbounded) {
-            // Unbounded relaxation at the root means an unbounded MILP
-            // for our models (integer vars are bounded).
-            out.status = SolveStatus::Unbounded;
-            out.error = support::Errc::Unbounded;
-            out.error_detail = "objective is unbounded over the relaxation";
-            return out;
-        }
-        if (lp.status == LpStatus::IterLimit) {
-            if (lp.deadline_hit) {
-                // The LP itself ran out of budget: stop the whole
-                // search and return the incumbent (anytime semantics).
-                out.status = SolveStatus::Limit;
-                out.error = lp.error;
-                out.error_detail = lp.error == support::Errc::Cancelled
-                                       ? "cancellation requested inside simplex"
-                                       : "time budget exhausted inside simplex";
-                return out;
-            }
-            // This subtree could not be resolved: remember that the
-            // search is incomplete so we never falsely claim optimality.
-            abandoned_subtree = true;
-            if (lp.error == support::Errc::NumericalTrouble &&
-                out.error == support::Errc::None) {
-                out.error = support::Errc::NumericalTrouble;
-                out.error_detail = "simplex reported numerical trouble";
-            }
-            continue;
-        }
-        // Prune on the perturbation-corrected bound (a valid upper
-        // bound on every solution in this subtree), within the
-        // optimality gap.
-        if (have_incumbent &&
-            lp.bound <= incumbent_obj + std::max(options.gap_absolute,
-                                                 options.gap_relative *
-                                                     std::abs(incumbent_obj))) {
-            continue;
-        }
-
-        const BranchChoice branch = pick_branch(base, lp.values, options.int_tol, pc);
-        if (branch.var < 0) {
-            // Integral: new incumbent.
-            have_incumbent = true;
-            incumbent_obj = lp.objective;
-            out.values = lp.values;
-            snap_integers(base, out.values);
-            out.objective = incumbent_obj;
-            continue;
-        }
-
-        // Incumbent heuristic at the root and occasionally afterwards.
-        if (!have_incumbent || (out.nodes & 0x3F) == 0) {
-            std::vector<double> rounded;
-            if (try_rounding(base, lp.values, rounded)) {
-                const double obj = base.objective().evaluate(rounded);
-                if (!have_incumbent || obj > incumbent_obj) {
-                    have_incumbent = true;
-                    incumbent_obj = obj;
-                    out.values = std::move(rounded);
-                    out.objective = obj;
-                }
-            }
-        }
-
-        std::shared_ptr<const SimplexBasis> child_warm;
-        if (ctx.use_warm && !captured.empty()) {
-            child_warm = std::make_shared<SimplexBasis>(std::move(captured));
-        }
-        const std::size_t bidx = static_cast<std::size_t>(branch.var);
-        // Clamp the LP value into the node's bounds before splitting:
-        // LP tolerances can leave it epsilon outside, which would
-        // create an empty child interval.
-        const double v = std::clamp(lp.values[bidx], node.lb[bidx], node.ub[bidx]);
-        const double floor_v = std::floor(v);
-        const double f = v - floor_v;
-        Node down;
-        down.lb = node.lb;
-        down.ub = node.ub;
-        down.ub[bidx] = std::min(down.ub[bidx], floor_v);
-        down.warm = child_warm;
-        down.branch_var = branch.var;
-        down.branch_up = false;
-        down.branch_frac = f;
-        down.parent_obj = lp.objective;
-        Node up;
-        up.lb = std::move(node.lb);
-        up.ub = std::move(node.ub);
-        up.lb[bidx] = std::max(up.lb[bidx], floor_v + 1);
-        up.warm = std::move(child_warm);
-        up.branch_var = branch.var;
-        up.branch_up = true;
-        up.branch_frac = f;
-        up.parent_obj = lp.objective;
-        const bool down_valid = down.lb[bidx] <= down.ub[bidx];
-        const bool up_valid = up.lb[bidx] <= up.ub[bidx];
-        // DFS order: prioritized (structural) variables dive up first —
-        // instantiate the iteration / take the placement — which
-        // reaches a feasible incumbent quickly; otherwise follow the
-        // LP value.
-        const bool up_first = branch.prio > 0 || f > 0.5;
-        if (up_first) {
-            if (down_valid) stack.push_back(std::move(down));
-            if (up_valid) stack.push_back(std::move(up));
-        } else {
-            if (up_valid) stack.push_back(std::move(up));
-            if (down_valid) stack.push_back(std::move(down));
-        }
-    }
-
-    if (have_incumbent) {
-        out.status = abandoned_subtree ? SolveStatus::Limit : SolveStatus::Optimal;
-    } else if (abandoned_subtree) {
-        out.status = SolveStatus::Limit;
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -965,13 +750,7 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
     ctx.root_certified = root.certified;
     ctx.use_warm = options.lp_backend == LpBackend::Sparse && options.warm_start_lp;
 
-    Solution best;
-    if (options.search == SearchMode::BestFirst) {
-        best = solve_milp_best_first(ctx, options, deadline, start);
-    } else {
-        best = solve_milp_dfs(ctx, options, deadline);
-        best.seconds = seconds_since(start);
-    }
+    Solution best = solve_milp_best_first(ctx, options, deadline, start);
 
     best.lp_iterations += root.lp_iterations;
     if (root.certified) {
@@ -984,7 +763,6 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
     }
     best.cuts = std::move(root.cuts);
 
-    if (best.seconds == 0.0) best.seconds = seconds_since(start);
     if (best.status == SolveStatus::Limit && best.error == support::Errc::None) {
         best.error = support::Errc::ResourceLimit;
         best.error_detail = "search incomplete: subtree abandoned at LP limit";

@@ -15,24 +15,6 @@
 
 namespace p4all::ilp {
 
-/// Which search engine explores the branch-and-bound tree.
-enum class SearchMode {
-    /// Serial depth-first dive (the historical engine): minimal memory,
-    /// reaches incumbents fast on placement models.
-    Dfs,
-    /// Deterministic parallel best-first search. Nodes carry a global
-    /// best-first order (bound desc, then newest-first so bound plateaus
-    /// are dived depth-first rather than swept breadth-first); each round the
-    /// engine pops a fixed-size batch, relaxes the batch's LPs on a
-    /// work-stealing std::jthread pool, and commits the results serially in
-    /// batch order (incumbent updates, pruning, branching). Because the
-    /// batch composition and the commit order depend only on the model —
-    /// never on thread timing — the search tree, the incumbent, the node
-    /// count, and the LP iteration total are bit-identical for any thread
-    /// count, including 1.
-    BestFirst,
-};
-
 enum class SolveStatus { Optimal, Infeasible, Unbounded, Limit };
 
 struct Solution {
@@ -92,11 +74,9 @@ struct SolveOptions {
     /// certificate is routed through the backend-agnostic LpResult contract,
     /// so the audit layer never needs to know which solver ran).
     LpBackend lp_backend = LpBackend::Dense;
-    /// Search engine; Dfs preserves the historical serial behavior.
-    SearchMode search = SearchMode::Dfs;
-    /// Worker threads for SearchMode::BestFirst (ignored by Dfs). 0 picks
-    /// the hardware concurrency. Results are identical for every value —
-    /// threads only split the LP work inside a batch.
+    /// Worker threads for the node LPs of a batch. 0 picks the hardware
+    /// concurrency. Results are identical for every value — threads only
+    /// split the LP work inside a batch.
     int threads = 1;
     /// Optional known-feasible assignment (e.g. from a heuristic) used as
     /// the initial incumbent; ignored if it fails the feasibility check.
@@ -122,8 +102,18 @@ struct SolveOptions {
     support::Deadline deadline;
 };
 
-/// Exact branch-and-bound. Returns Optimal with the best solution, or
-/// Infeasible/Unbounded, or Limit (with the incumbent, if any, in `values`).
+/// Exact branch-and-bound with deterministic parallel best-first search.
+/// Nodes carry a global best-first order (bound desc, then newest-first so
+/// bound plateaus are dived depth-first rather than swept breadth-first);
+/// each round the engine pops a fixed-size batch, relaxes the batch's LPs on
+/// a work-stealing std::jthread pool, and commits the results serially in
+/// batch order (incumbent updates, pruning, branching). Because the batch
+/// composition and the commit order depend only on the model — never on
+/// thread timing — the search tree, the incumbent, the node count, and the
+/// LP iteration total are bit-identical for any thread count, including 1.
+///
+/// Returns Optimal with the best solution, or Infeasible/Unbounded, or Limit
+/// (with the incumbent, if any, in `values`).
 [[nodiscard]] Solution solve_milp(const Model& model, const SolveOptions& options = {});
 
 /// Reference solver: enumerates every integer assignment within bounds,

@@ -48,7 +48,6 @@ const GomoryFixture& gomory_fixture() {
         out.model.set_objective(ilp::LinExpr().add(x1, 1).add(x2, 1).add(x3, 1));
         ilp::SolveOptions o;
         o.lp_backend = ilp::LpBackend::Sparse;
-        o.search = ilp::SearchMode::BestFirst;
         out.cuts = ilp::solve_milp(out.model, o).cuts;
         return out;
     }();

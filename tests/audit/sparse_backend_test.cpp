@@ -35,7 +35,6 @@ compiler::CompileResult compile_sparse(const BenchApp& app, int threads) {
     compiler::CompileOptions options;
     options.backend = compiler::Backend::Ilp;
     options.solve.lp_backend = ilp::LpBackend::Sparse;
-    options.solve.search = ilp::SearchMode::BestFirst;
     options.solve.threads = threads;
     // netcache's honest root bound sits ~28% above the best known integer
     // solution (the seed's instant "optimal" there was an artifact of a

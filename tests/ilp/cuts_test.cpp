@@ -94,7 +94,6 @@ TEST(Cuts, HandCheckedGomoryClosesTheClassicGap) {
 
     SolveOptions o;
     o.lp_backend = LpBackend::Sparse;
-    o.search = SearchMode::BestFirst;
     const Solution s = solve_milp(m, o);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, 1.0, 1e-6);
@@ -145,7 +144,6 @@ TEST(Cuts, PooledCutsAreValidByExhaustiveEnumeration) {
 
         SolveOptions o;
         o.lp_backend = LpBackend::Sparse;
-        o.search = SearchMode::BestFirst;
         const Solution s = solve_milp(m, o);
         if (s.cuts.empty()) continue;
         ++models_with_cuts;
@@ -201,7 +199,6 @@ TEST(Cuts, FaultMidSeparationKeepsIncumbentAndCertifiedBound) {
     const Model m = gap_model();
     SolveOptions base_opts;
     base_opts.lp_backend = LpBackend::Sparse;
-    base_opts.search = SearchMode::BestFirst;
     base_opts.threads = 1;  // deterministic fault-hit ordinals
     base_opts.warm_start.assign(static_cast<std::size_t>(m.num_vars()), 0.0);
 
@@ -257,7 +254,6 @@ TEST(Cuts, ExpiredDeadlineReturnsLimitWithWarmIncumbent) {
     const Model m = gap_model();
     SolveOptions o;
     o.lp_backend = LpBackend::Sparse;
-    o.search = SearchMode::BestFirst;
     o.warm_start.assign(static_cast<std::size_t>(m.num_vars()), 0.0);
     o.deadline = support::Deadline::after_seconds(0.0);
     const Solution s = solve_milp(m, o);

@@ -4,13 +4,13 @@
 // regimes that matter (feasible, infeasible, unbounded, degenerate) and
 // cross-checks every backend against every other:
 //
-//   * LP: sparse revised simplex vs dense tableau vs textbook reference —
-//     identical statuses, objectives to 1e-7, and primal feasibility of the
-//     returned vertex.
-//   * MILP: parallel best-first (1, 2, 8 threads) vs serial best-first vs
-//     serial DFS vs solve_exhaustive — equal optima, and bit-identical
-//     incumbents/statistics across thread counts (the determinism contract
-//     in solver.hpp).
+//   * LP: sparse revised simplex vs dense tableau vs the textbook oracle
+//     (tests/ilp/simplex_textbook.hpp) — identical statuses, objectives to
+//     1e-7, and primal feasibility of the returned vertex.
+//   * MILP: best-first search over the sparse and the dense LP engines
+//     (1, 2, 8 threads) vs solve_exhaustive — equal optima, and
+//     bit-identical incumbents/statistics across thread counts (the
+//     determinism contract in solver.hpp).
 #include <cmath>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "ilp/model.hpp"
 #include "ilp/revised_simplex.hpp"
 #include "ilp/simplex.hpp"
+#include "ilp/simplex_textbook.hpp"
 #include "ilp/solver.hpp"
 #include "support/rng.hpp"
 
@@ -122,7 +123,7 @@ Model unbounded_instance(std::uint64_t seed) {
 void expect_lp_backends_agree(const Model& m, const std::string& label) {
     const LpResult sparse = solve_lp_with(LpBackend::Sparse, m);
     const LpResult dense = solve_lp_with(LpBackend::Dense, m);
-    const LpResult textbook = solve_lp_with(LpBackend::Textbook, m);
+    const LpResult textbook = solve_lp_textbook(m);
 
     ASSERT_EQ(sparse.status, dense.status) << label;
     ASSERT_EQ(sparse.status, textbook.status) << label;
@@ -172,7 +173,7 @@ TEST(DifferentialLp, UnboundedInstances) {
         const std::string label = "unbounded seed " + std::to_string(seed);
         EXPECT_EQ(solve_lp_with(LpBackend::Sparse, m).status, LpStatus::Unbounded) << label;
         EXPECT_EQ(solve_lp_with(LpBackend::Dense, m).status, LpStatus::Unbounded) << label;
-        EXPECT_EQ(solve_lp_with(LpBackend::Textbook, m).status, LpStatus::Unbounded) << label;
+        EXPECT_EQ(solve_lp_textbook(m).status, LpStatus::Unbounded) << label;
     }
 }
 
@@ -191,10 +192,9 @@ TEST(DifferentialLp, SparseDualsCertifyTheObjective) {
     }
 }
 
-Solution solve_with(const Model& m, LpBackend backend, SearchMode search, int threads) {
+Solution solve_with(const Model& m, LpBackend backend, int threads) {
     SolveOptions opts;
     opts.lp_backend = backend;
-    opts.search = search;
     opts.threads = threads;
     return solve_milp(m, opts);
 }
@@ -206,21 +206,18 @@ TEST(DifferentialMilp, BackendsAgreeWithExhaustiveEnumeration) {
                                                     /*integral=*/true);
         const std::string label = "milp seed " + std::to_string(seed);
         const Solution exact = solve_exhaustive(inst.model);
-        const Solution dfs_dense = solve_with(inst.model, LpBackend::Dense, SearchMode::Dfs, 1);
-        const Solution dfs_sparse = solve_with(inst.model, LpBackend::Sparse, SearchMode::Dfs, 1);
-        const Solution bf_sparse =
-            solve_with(inst.model, LpBackend::Sparse, SearchMode::BestFirst, 1);
+        const Solution dense = solve_with(inst.model, LpBackend::Dense, 1);
+        const Solution sparse = solve_with(inst.model, LpBackend::Sparse, 1);
 
-        ASSERT_EQ(dfs_dense.status, exact.status) << label;
-        ASSERT_EQ(dfs_sparse.status, exact.status) << label;
-        ASSERT_EQ(bf_sparse.status, exact.status) << label;
+        ASSERT_EQ(dense.status, exact.status) << label;
+        ASSERT_EQ(sparse.status, exact.status) << label;
         if (exact.status != SolveStatus::Optimal) continue;
         ++optimal;
         const double tol = 1e-6 * (1.0 + std::abs(exact.objective));
-        EXPECT_NEAR(dfs_dense.objective, exact.objective, tol) << label;
-        EXPECT_NEAR(dfs_sparse.objective, exact.objective, tol) << label;
-        EXPECT_NEAR(bf_sparse.objective, exact.objective, tol) << label;
-        EXPECT_TRUE(inst.model.is_feasible(bf_sparse.values, 1e-6)) << label;
+        EXPECT_NEAR(dense.objective, exact.objective, tol) << label;
+        EXPECT_NEAR(sparse.objective, exact.objective, tol) << label;
+        EXPECT_TRUE(inst.model.is_feasible(dense.values, 1e-6)) << label;
+        EXPECT_TRUE(inst.model.is_feasible(sparse.values, 1e-6)) << label;
     }
     EXPECT_GT(optimal, 25);
 }
@@ -231,9 +228,9 @@ TEST(DifferentialMilp, ParallelSearchIsThreadCountInvariant) {
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
         const RandomInstance inst = random_instance(seed * 1217, true, true);
         const std::string label = "milp seed " + std::to_string(seed);
-        const Solution t1 = solve_with(inst.model, LpBackend::Sparse, SearchMode::BestFirst, 1);
-        const Solution t2 = solve_with(inst.model, LpBackend::Sparse, SearchMode::BestFirst, 2);
-        const Solution t8 = solve_with(inst.model, LpBackend::Sparse, SearchMode::BestFirst, 8);
+        const Solution t1 = solve_with(inst.model, LpBackend::Sparse, 1);
+        const Solution t2 = solve_with(inst.model, LpBackend::Sparse, 2);
+        const Solution t8 = solve_with(inst.model, LpBackend::Sparse, 8);
 
         ASSERT_EQ(t2.status, t1.status) << label;
         ASSERT_EQ(t8.status, t1.status) << label;
@@ -259,7 +256,7 @@ TEST(DifferentialMilp, WarmStartMatchesColdAtEveryThreadCount) {
     //    certificates — warm-started and cold alike. This is the pinned
     //    guarantee: re-using the parent basis must not leak thread timing
     //    into the tree.
-    //  * Agreement (tolerance): warm vs cold vs the dense serial DFS oracle
+    //  * Agreement (tolerance): warm vs cold vs exhaustive enumeration
     //    reach the same status and optimum and a feasible incumbent. The
     //    continuous components of the vertex may differ in the last ulp —
     //    the dual repair takes a different pivot route to the same optimum —
@@ -269,14 +266,13 @@ TEST(DifferentialMilp, WarmStartMatchesColdAtEveryThreadCount) {
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
         const RandomInstance inst = random_instance(seed * 6491, true, true);
         const std::string label = "milp seed " + std::to_string(seed);
-        const Solution oracle = solve_with(inst.model, LpBackend::Dense, SearchMode::Dfs, 1);
+        const Solution oracle = solve_exhaustive(inst.model);
         Solution cold[3];
         Solution warm[3];
         const int threads[3] = {1, 2, 8};
         for (int t = 0; t < 3; ++t) {
             SolveOptions opts;
             opts.lp_backend = LpBackend::Sparse;
-            opts.search = SearchMode::BestFirst;
             opts.threads = threads[t];
             opts.warm_start_lp = false;
             cold[t] = solve_milp(inst.model, opts);
@@ -311,13 +307,12 @@ TEST(DifferentialMilp, WarmStartMatchesColdAtEveryThreadCount) {
 }
 
 TEST(DifferentialMilp, ParallelSearchMatchesDenseBackendToo) {
-    // Same invariance with the dense LP backend under the parallel engine —
-    // the search layer must not care which simplex relaxes its nodes.
+    // Same invariance with the dense LP backend — the search layer must not care which simplex relaxes its nodes.
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         const RandomInstance inst = random_instance(seed * 2027, true, true);
         const std::string label = "milp seed " + std::to_string(seed);
-        const Solution t1 = solve_with(inst.model, LpBackend::Dense, SearchMode::BestFirst, 1);
-        const Solution t8 = solve_with(inst.model, LpBackend::Dense, SearchMode::BestFirst, 8);
+        const Solution t1 = solve_with(inst.model, LpBackend::Dense, 1);
+        const Solution t8 = solve_with(inst.model, LpBackend::Dense, 8);
         ASSERT_EQ(t8.status, t1.status) << label;
         EXPECT_EQ(t8.objective, t1.objective) << label;
         EXPECT_EQ(t8.values, t1.values) << label;

@@ -1,4 +1,5 @@
 #include "ilp/simplex.hpp"
+#include "ilp/simplex_textbook.hpp"
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ilp/simplex.hpp"
+#include "ilp/simplex_textbook.hpp"
 #include "ilp/solver.hpp"
 #include "support/rng.hpp"
 

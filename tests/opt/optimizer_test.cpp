@@ -342,8 +342,6 @@ TEST(ResilientOpt, PortfolioFallsBackToOptLevelZeroAfterAuditRejection) {
     // optimizer disabled.
     compiler::ResilienceOptions res;
     res.budget_seconds = 60.0;
-    res.try_greedy = false;
-    res.try_exhaustive = false;
     res.external_gate = [](const ir::Program&, const compiler::CompileArtifacts& art) {
         return art.optimized ? std::string("policy: optimized compiles are not trusted")
                              : std::string();

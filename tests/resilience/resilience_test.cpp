@@ -15,6 +15,7 @@
 #include "audit/audit.hpp"
 #include "compiler/greedy.hpp"
 #include "compiler/resilient.hpp"
+#include "ilp/simplex_textbook.hpp"
 #include "ilp/solver.hpp"
 #include "lang/parser.hpp"
 #include "support/faultpoint.hpp"
@@ -125,7 +126,6 @@ ilp::Model branching_model() {
 ilp::SolveOptions parallel_options(int threads) {
     ilp::SolveOptions o;
     o.lp_backend = ilp::LpBackend::Sparse;
-    o.search = ilp::SearchMode::BestFirst;
     o.threads = threads;
     return o;
 }
@@ -221,8 +221,12 @@ TEST_F(ResilienceTest, ArtifactsEmitFaultFailsOverToNextRung) {
     ASSERT_GE(r.resilience.attempts.size(), 2u);
     EXPECT_EQ(r.resilience.attempts[0].backend, "ilp-sparse");
     EXPECT_EQ(r.resilience.attempts[0].error, Errc::FaultInjected);
-    // The single-shot fault budget is spent; the dense rung sails through.
-    EXPECT_EQ(r.resilience.final_backend, "ilp");
+    // An injected fault is no numerical trouble, so the Bland restart is
+    // skipped; the single-shot fault budget is spent and greedy sails
+    // through.
+    EXPECT_EQ(r.resilience.attempts[1].backend, "ilp-bland");
+    EXPECT_EQ(r.resilience.attempts[1].outcome, AttemptOutcome::Skipped);
+    EXPECT_EQ(r.resilience.final_backend, "greedy");
 }
 
 TEST_F(ResilienceTest, ArtifactsEmitPermanentFaultFailsTheWholePortfolioCleanly) {
@@ -331,14 +335,14 @@ TEST_F(ResilienceTest, RejectingGateWalksTheWholePortfolio) {
         FAIL() << "always-rejecting gate accepted something";
     } catch (const ResilientError& e) {
         EXPECT_EQ(e.code(), Errc::AuditRejected);
-        // The rejection walks sparse → dense → Bland restart → the remaining
+        // The rejection walks sparse → Bland restart → -O0 → the remaining
         // backends; every produced layout was gated.
         ASSERT_GE(e.report.attempts.size(), 4u);
         EXPECT_EQ(e.report.attempts[0].backend, "ilp-sparse");
         EXPECT_EQ(e.report.attempts[0].outcome, AttemptOutcome::AuditRejected);
-        EXPECT_EQ(e.report.attempts[1].backend, "ilp");
+        EXPECT_EQ(e.report.attempts[1].backend, "ilp-bland");
         EXPECT_EQ(e.report.attempts[1].outcome, AttemptOutcome::AuditRejected);
-        EXPECT_EQ(e.report.attempts[2].backend, "ilp-bland");
+        EXPECT_EQ(e.report.attempts[2].backend, "ilp-O0");
         bool greedy_rejected = false;
         for (const compiler::AttemptReport& a : e.report.attempts) {
             greedy_rejected = greedy_rejected ||
@@ -347,6 +351,26 @@ TEST_F(ResilienceTest, RejectingGateWalksTheWholePortfolio) {
         }
         EXPECT_TRUE(greedy_rejected);
     }
+}
+
+TEST_F(ResilienceTest, GreedyBackendSkipsIlpRungs) {
+    // CompileOptions::backend names the first rung: a greedy caller never
+    // pays for an ILP attempt, and greedy's layout still passes the gate.
+    CompileOptions opts;
+    opts.target = target::running_example();
+    opts.backend = compiler::Backend::Greedy;
+    ResilienceOptions res;
+    res.budget_seconds = 30.0;
+    res.external_gate = audit::make_resilience_gate();
+    const CompileResult r = compiler::compile_resilient_source(kCms, opts, res, "cms");
+    ASSERT_FALSE(r.resilience.attempts.empty());
+    for (const compiler::AttemptReport& a : r.resilience.attempts) {
+        EXPECT_FALSE(a.backend.starts_with("ilp")) << a.backend;
+    }
+    EXPECT_EQ(r.resilience.final_backend, "greedy");
+    ASSERT_TRUE(r.artifacts != nullptr);
+    EXPECT_FALSE(r.artifacts->has_ilp);
+    EXPECT_EQ(audit::make_resilience_gate()(r.program, *r.artifacts), "");
 }
 
 TEST_F(ResilienceTest, AnytimeIncumbentAcceptedAndMarked) {
