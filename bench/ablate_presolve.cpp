@@ -1,8 +1,6 @@
-// Ablation: the two model-shrinking devices in the ILP generator —
-// stage-window presolve (x variables restricted to dependency-feasible
-// stages) and iteration symmetry breaking (interchangeable iterations in
-// non-decreasing stages). Both must leave the optimum unchanged; the table
-// shows their effect on model size and solve effort.
+// Ablation: stage-window presolve in the ILP generator (x variables
+// restricted to dependency-feasible stages). It must leave the optimum
+// unchanged; the table shows its effect on model size and solve effort.
 #include <cstdio>
 
 #include "apps/netcache.hpp"
@@ -18,17 +16,12 @@ int main() {
     struct Config {
         const char* label;
         bool windows;
-        bool symmetry;
     };
     const std::string source = apps::netcache_source();
-    for (const Config cfg : {Config{"windows + symmetry", true, true},
-                             Config{"windows only", true, false},
-                             Config{"symmetry only", false, true},
-                             Config{"neither", false, false}}) {
+    for (const Config cfg : {Config{"stage windows", true}, Config{"no windows", false}}) {
         compiler::CompileOptions opts;
         opts.target = target::tofino_like();
         opts.ilpgen.stage_windows = cfg.windows;
-        opts.ilpgen.symmetry_breaking = cfg.symmetry;
         opts.solve.time_limit_seconds = 30;
         try {
             const compiler::CompileResult r = compiler::compile_source(source, opts, "netcache");

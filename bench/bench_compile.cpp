@@ -1,12 +1,11 @@
-// BENCH_compile.json: end-to-end compile latency with the solver-core
-// LP backends swapped — the serial dense tableau (compile()'s default)
-// against the sparse revised simplex on every core, the engine every rung
-// of the resilient portfolio runs. Both arms use the same deterministic
-// best-first search. Same schema and --check gate as
-// bench_ilp, so CI can hold compile latency to the committed baseline.
+// BENCH_compile.json: end-to-end ILP compile latency of every application
+// on every core (the configuration every ILP rung of the resilient
+// portfolio runs), each compile proved optimal. Same schema and --check
+// gate as bench_ilp, so CI can hold compile latency to the committed
+// baseline.
 //
 // The `<app>-opt` instances hold the IR optimizer to its overhead budget:
-// dense = the same sparse compile at -O0, sparse = at -O1
+// dense = the same compile at -O0, sparse = at -O1
 // (dataflow analyses + rewrite passes + certificate emission included), so
 // the baseline gate fails if optimizing ever costs more than the usual
 // 25% + 5 ms over a non-optimizing compile.
@@ -37,31 +36,21 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
     bench::InstanceReport rep;
     rep.name = name;
     rep.kind = "compile";
-
-    const auto run = [&](ilp::LpBackend backend, int threads) {
-        compiler::CompileOptions o;
-        o.backend = compiler::Backend::Ilp;
-        o.solve.lp_backend = backend;
-        o.solve.threads = threads;
-        // compile_source seeds branch-and-bound from the greedy layout; the
-        // budget bounds instances (netcache) whose honest root gap is not
-        // closable at bench scale.
-        o.solve.time_limit_seconds = budget_seconds;
+    compiler::CompileOptions o;
+    o.backend = compiler::Backend::Ilp;
+    o.solve.threads = 0;
+    o.solve.time_limit_seconds = budget_seconds;
+    rep.sparse = bench::measure(reps, [&] {
         const compiler::CompileResult r = compiler::compile_source(source, o, name);
         rep.vars = r.stats.ilp_vars;
         rep.rows = r.stats.ilp_constraints;
         return std::pair<std::int64_t, std::int64_t>(r.stats.lp_iterations, r.stats.bb_nodes);
-    };
-
-    // The dense arm is compile()'s default path: serial. The sparse arm
-    // splits each batch's node LPs over every core.
-    rep.dense = bench::measure(reps, [&] { return run(ilp::LpBackend::Dense, 1); });
-    rep.sparse = bench::measure(reps, [&] { return run(ilp::LpBackend::Sparse, 0); });
+    });
     return rep;
 }
 
-/// Optimizer-overhead A/B: the identical sparse compile with the
-/// IR optimizer off (dense column) and on (sparse column).
+/// Optimizer-overhead A/B: the identical compile with the IR optimizer off
+/// (dense column) and on (sparse column).
 bench::InstanceReport bench_app_opt_level(const std::string& name, const std::string& source,
                                           int reps, double budget_seconds) {
     bench::InstanceReport rep;
@@ -71,7 +60,6 @@ bench::InstanceReport bench_app_opt_level(const std::string& name, const std::st
     const auto run = [&](int opt_level) {
         compiler::CompileOptions o;
         o.backend = compiler::Backend::Ilp;
-        o.solve.lp_backend = ilp::LpBackend::Sparse;
         o.solve.threads = 0;
         o.solve.time_limit_seconds = budget_seconds;
         o.opt_level = opt_level;
@@ -220,13 +208,13 @@ int main(int argc, char** argv) {
     }
 
     std::vector<bench::InstanceReport> instances;
-    instances.push_back(bench_app("netcache", apps::netcache_source(), reps, 1.0));
+    instances.push_back(bench_app("netcache", apps::netcache_source(), reps, 5.0));
     instances.push_back(bench_app("sketchlearn-l4", apps::sketchlearn_source(4), reps, 5.0));
-    instances.push_back(bench_app("sketchlearn-l6", apps::sketchlearn_source(6), reps, 2.0));
+    instances.push_back(bench_app("sketchlearn-l6", apps::sketchlearn_source(6), reps, 5.0));
     instances.push_back(bench_app("precision", apps::precision_source(), reps, 5.0));
     instances.push_back(bench_app("conquest-s4", apps::conquest_source(4), reps, 5.0));
-    instances.push_back(bench_app("conquest-s6", apps::conquest_source(6), reps, 2.0));
-    instances.push_back(bench_app_opt_level("netcache", apps::netcache_source(), reps, 1.0));
+    instances.push_back(bench_app("conquest-s6", apps::conquest_source(6), reps, 5.0));
+    instances.push_back(bench_app_opt_level("netcache", apps::netcache_source(), reps, 5.0));
     instances.push_back(
         bench_app_opt_level("sketchlearn-l4", apps::sketchlearn_source(4), reps, 5.0));
     instances.push_back(bench_app_opt_level("precision", apps::precision_source(), reps, 5.0));

@@ -1,11 +1,11 @@
 // BENCH_ilp.json: the solver-core perf harness.
 //
-// Times the sparse revised simplex against the dense tableau baseline (for
-// the MILPs, both under the same deterministic best-first search) over (a) the four paper
-// applications' generated MILPs at multiple unroll depths and (b) synthetic
-// placement-style LPs whose size/sparsity mirror deeply unrolled programs —
-// the regime the sparse backend exists for. Emits median/p95 wall time,
-// pivot and node counts, and the dense/sparse speedup per instance.
+// Times the solver core — the revised simplex under the deterministic
+// best-first search — over (a) the four paper applications' generated MILPs
+// at multiple unroll depths, each solved to proven optimality, and (b)
+// synthetic placement-style LPs whose size/sparsity mirror deeply unrolled
+// programs. Emits median/p95 wall time and pivot and node counts per
+// instance (in the report's "sparse" arm).
 //
 // Usage:
 //   bench_ilp [--out BENCH_ilp.json] [--reps N] [--check baseline.json]
@@ -13,7 +13,6 @@
 // --check compares this run's sparse medians against the committed baseline
 // (tests/golden/bench_baseline.json) and exits 1 on a >25% regression.
 #include <cstring>
-#include <tuple>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,8 +36,7 @@ using namespace p4all;
 
 /// Synthetic placement-style LP: `cols` columns, each touching `touch`
 /// random rows of `rows` capacity constraints (plus a singleton "assume"
-/// row per tenth column — the shape the sparse backend's presolve folds
-/// into bounds). Mirrors the structure ilpgen emits: very tall, very
+/// row per tenth column — the shape the simplex folds into bounds). Mirrors the structure ilpgen emits: very tall, very
 /// sparse, every coefficient small and positive.
 ilp::Model synthetic_lp(int rows, int cols, std::uint64_t seed) {
     support::Xoshiro256 rng(seed);
@@ -57,8 +55,7 @@ ilp::Model synthetic_lp(int rows, int cols, std::uint64_t seed) {
         }
         obj.add(v, static_cast<double>(1 + rng.next_below(9)));
         if (j % 10 == 0) {
-            // assume-style singleton row: folds to a bound in the sparse
-            // backend, stays an explicit row in the dense tableau.
+            // assume-style singleton row: the simplex folds it to a bound.
             m.add_le(ilp::LinExpr().add(v, 1.0), 5.0);
         }
     }
@@ -71,10 +68,7 @@ ilp::Model synthetic_lp(int rows, int cols, std::uint64_t seed) {
 }
 
 /// An application MILP plus the greedy warm start the compiler would seed
-/// branch-and-bound with. Benchmarks run warm-started on both backends —
-/// that is the configuration the compiler actually ships, and it keeps the
-/// instances whose root gap is not test-closable (netcache) from turning
-/// into pure budget burners with no incumbent.
+/// branch-and-bound with — the configuration the compiler actually ships.
 struct AppMilp {
     ilp::Model model;
     std::vector<double> warm_start;
@@ -100,36 +94,15 @@ bench::InstanceReport bench_lp(const std::string& name, const ilp::Model& model,
     rep.kind = "lp";
     rep.vars = model.num_vars();
     rep.rows = model.num_constraints();
-    rep.dense = bench::measure(reps, [&] {
-        const ilp::LpResult r = ilp::solve_lp_with(ilp::LpBackend::Dense, model);
-        return std::pair<std::int64_t, std::int64_t>(r.iterations, 0);
-    });
     rep.sparse = bench::measure(reps, [&] {
-        const ilp::LpResult r = ilp::solve_lp_with(ilp::LpBackend::Sparse, model);
+        const ilp::LpResult r = ilp::solve_lp_sparse(model);
         return std::pair<std::int64_t, std::int64_t>(r.iterations, 0);
     });
     return rep;
 }
 
-ilp::SolveOptions dense_options(const AppMilp& inst, double budget_seconds) {
-    ilp::SolveOptions o;  // dense tableau, one thread: compile()'s default
-    o.threads = 1;
-    o.warm_start = inst.warm_start;
-    o.time_limit_seconds = budget_seconds;
-    return o;
-}
-
-ilp::SolveOptions sparse_options(const AppMilp& inst, double budget_seconds) {
-    ilp::SolveOptions o;
-    o.lp_backend = ilp::LpBackend::Sparse;
-    o.threads = 0;  // hardware concurrency
-    o.warm_start = inst.warm_start;
-    o.time_limit_seconds = budget_seconds;
-    return o;
-}
-
-/// Solve-to-completion measurement: both engines run the whole solve under a
-/// generous wall-clock budget; the recorded time is the actual solve time.
+/// Solve-to-completion measurement at default options on every core, under
+/// a generous wall-clock budget; the recorded time is the actual solve time.
 bench::InstanceReport bench_milp(const std::string& name, const AppMilp& inst, int reps,
                                  double budget_seconds) {
     bench::InstanceReport rep;
@@ -137,57 +110,13 @@ bench::InstanceReport bench_milp(const std::string& name, const AppMilp& inst, i
     rep.kind = "milp";
     rep.vars = inst.model.num_vars();
     rep.rows = inst.model.num_constraints();
-    rep.dense = bench::measure(reps, [&] {
-        const ilp::Solution s = ilp::solve_milp(inst.model, dense_options(inst, budget_seconds));
-        return std::pair<std::int64_t, std::int64_t>(s.lp_iterations, s.nodes);
-    });
+    ilp::SolveOptions o;
+    o.threads = 0;  // hardware concurrency
+    o.warm_start = inst.warm_start;
+    o.time_limit_seconds = budget_seconds;
     rep.sparse = bench::measure(reps, [&] {
-        const ilp::Solution s = ilp::solve_milp(inst.model, sparse_options(inst, budget_seconds));
-        return std::pair<std::int64_t, std::int64_t>(s.lp_iterations, s.nodes);
-    });
-    return rep;
-}
-
-/// Goal-under-cap measurement (PAR-1 scoring, see measure_capped) for the
-/// instances where a shared time budget would measure the budget rather
-/// than the solver. Each engine gets a goal and a wall-clock cap:
-///
-///  - node_budget > 0: search throughput. Process `node_budget`
-///    branch-and-bound nodes (or finish the whole tree early). The deep
-///    l6/s6 unrolls carry an honest structural integrality gap no engine
-///    closes at bench scale, so the measurable quantity is the per-node LP
-///    cost — exactly what warm-started dual simplex exists to cut.
-///  - node_budget == 0: solve to optimality at `gap_relative` (netcache: the
-///    production-default 1e-4 relative gap, which its 1.4e-5 big-M bound
-///    plateau satisfies; the shipping compiler solves it the same way).
-///
-/// A run that meets its goal scores its actual time; a run that aborts
-/// first — the dense tableau bails with numerical trouble on these models
-/// after a handful of nodes — scores the cap. Both engines run warm-started
-/// from the greedy layout, the compiler's real configuration.
-bench::InstanceReport bench_milp_capped(const std::string& name, const AppMilp& inst,
-                                        int reps, std::int64_t node_budget,
-                                        double cap_seconds, double gap_relative = 0.0) {
-    bench::InstanceReport rep;
-    rep.name = name;
-    rep.kind = "milp";
-    rep.vars = inst.model.num_vars();
-    rep.rows = inst.model.num_constraints();
-    const auto run = [&](ilp::SolveOptions o) {
-        if (node_budget > 0) o.max_nodes = node_budget;
-        if (gap_relative > 0.0) o.gap_relative = gap_relative;
         const ilp::Solution s = ilp::solve_milp(inst.model, o);
-        const bool done_tree = s.status == ilp::SolveStatus::Optimal ||
-                               s.status == ilp::SolveStatus::Infeasible;
-        const bool done_budget = node_budget > 0 && s.nodes >= node_budget;
-        return std::tuple<std::int64_t, std::int64_t, bool>(s.lp_iterations, s.nodes,
-                                                            done_budget || done_tree);
-    };
-    rep.dense = bench::measure_capped(reps, cap_seconds * 1000.0, [&] {
-        return run(dense_options(inst, cap_seconds));
-    });
-    rep.sparse = bench::measure_capped(reps, cap_seconds * 1000.0, [&] {
-        return run(sparse_options(inst, cap_seconds));
+        return std::pair<std::int64_t, std::int64_t>(s.lp_iterations, s.nodes);
     });
     return rep;
 }
@@ -215,28 +144,22 @@ int main(int argc, char** argv) {
     std::vector<bench::InstanceReport> instances;
 
     // The four applications, with the elastic knobs that control unroll
-    // depth (sketchlearn levels, conquest snapshots) swept upward. Every
-    // instance is warm-started from the greedy layout (the compiler's real
-    // configuration). Instances both engines can solve to optimality are
-    // timed to completion; the rest run goal-under-cap (bench_milp_capped):
-    // netcache as a capped solve at the production-default relative gap, the
-    // deep l6/s6 unrolls — whose structural integrality gap no engine closes
-    // at bench scale — as fixed-node-budget search throughput.
-    instances.push_back(bench_milp_capped(
-        "netcache", app_milp(apps::netcache_source(), "netcache"), reps, 0, 4.0, 1e-4));
+    // depth (sketchlearn levels, conquest snapshots) swept upward, each
+    // warm-started from the greedy layout and timed to proven optimality.
+    instances.push_back(
+        bench_milp("netcache", app_milp(apps::netcache_source(), "netcache"), reps, 5.0));
     instances.push_back(bench_milp(
         "sketchlearn-l4", app_milp(apps::sketchlearn_source(4), "sketchlearn"), reps, 5.0));
-    instances.push_back(bench_milp_capped(
-        "sketchlearn-l6", app_milp(apps::sketchlearn_source(6), "sketchlearn"), reps, 512, 6.0));
+    instances.push_back(bench_milp(
+        "sketchlearn-l6", app_milp(apps::sketchlearn_source(6), "sketchlearn"), reps, 5.0));
     instances.push_back(
         bench_milp("precision", app_milp(apps::precision_source(), "precision"), reps, 5.0));
     instances.push_back(
         bench_milp("conquest-s4", app_milp(apps::conquest_source(4), "conquest"), reps, 5.0));
-    instances.push_back(bench_milp_capped(
-        "conquest-s6", app_milp(apps::conquest_source(6), "conquest"), reps, 512, 6.0));
+    instances.push_back(
+        bench_milp("conquest-s6", app_milp(apps::conquest_source(6), "conquest"), reps, 5.0));
 
-    // Synthetic placement-style LPs, growing to the regime where the dense
-    // tableau's O(m·n) pivots dominate.
+    // Synthetic placement-style LPs of growing size.
     instances.push_back(bench_lp("synthetic-lp-40x400", synthetic_lp(40, 400, 11), reps));
     instances.push_back(bench_lp("synthetic-lp-80x1200", synthetic_lp(80, 1200, 12), reps));
     instances.push_back(bench_lp("synthetic-lp-120x2400", synthetic_lp(120, 2400, 13), reps));

@@ -10,28 +10,22 @@
 //     "instances": [
 //       { "name": "...", "kind": "lp" | "milp" | "compile",
 //         "vars": 1234, "rows": 56,
-//         "dense":  { "median_ms": ..., "p95_ms": ..., "pivots": ..., "nodes": ...,
-//                     "failures": ... },
-//         "sparse": { "median_ms": ..., "p95_ms": ..., "pivots": ..., "nodes": ...,
-//                     "failures": ... },
+//         "dense":  { "median_ms": ..., "p95_ms": ..., "pivots": ..., "nodes": ... },
+//         "sparse": { "median_ms": ..., "p95_ms": ..., "pivots": ..., "nodes": ... },
 //         "speedup": dense.median_ms / sparse.median_ms }
 //     ]
 //   }
 //
-// "failures" (emitted only when nonzero) counts the repetitions of a
-// capped instance that did not meet their goal and were scored at the cap
-// (measure_capped, PAR-1).
+// "sparse" is the measured arm. "dense" is the comparison arm of the A/B
+// instances (checked vs proved, -O0 vs -O1, cold start vs recovery, ...);
+// the solver instances have none, and their "dense" and "speedup" keys are
+// left out.
 //
 // --check <baseline.json> compares the current run's sparse median against
-// the committed baseline per instance name and fails (exit 1) on a
-// regression of more than 25% plus a 5 ms absolute floor (the floor keeps
-// few-millisecond instances from tripping the gate on scheduler noise).
-// The baseline records the dense median alongside the sparse one; when the
-// current dense median is slower than its baseline, the allowance scales up
-// by that ratio — the dense engine is untouched by most changes, so a
-// uniform slowdown of both engines is machine noise, not a regression.
-// A baseline entry may also pin "min_speedup": the current run's
-// dense/sparse ratio must stay at or above it or the check fails.
+// the committed baseline ("sparse_ms") per instance name and fails (exit 1)
+// on a regression of more than 25% plus a 5 ms absolute floor (the floor
+// keeps few-millisecond instances from tripping the gate on scheduler
+// noise).
 #pragma once
 
 #include <algorithm>
@@ -42,7 +36,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "support/json.hpp"
@@ -54,7 +47,6 @@ struct RunStats {
     double p95_ms = 0.0;
     std::int64_t pivots = 0;  // LP iterations of the final run
     std::int64_t nodes = 0;   // branch-and-bound nodes of the final run
-    std::int64_t failures = 0;  // runs that failed their goal (scored at the cap)
 };
 
 /// Runs `body` `reps` times and collects wall-time order statistics.
@@ -81,47 +73,12 @@ inline RunStats measure(int reps,
     return stats;
 }
 
-/// Penalized variant (PAR-1 scoring, the SAT/MIP-competition convention):
-/// `body` additionally reports whether the run met its goal; a failed run is
-/// scored at `cap_ms` (the instance's wall-clock cap) rather than its actual
-/// time, so an engine that aborts early — e.g. bails with numerical trouble
-/// after a handful of nodes — cannot score *better* than one that does the
-/// work. Failures are counted in the stats.
-inline RunStats measure_capped(
-    int reps, double cap_ms,
-    const std::function<std::tuple<std::int64_t, std::int64_t, bool>()>& body) {
-    using Clock = std::chrono::steady_clock;
-    RunStats stats;
-    std::vector<double> ms;
-    ms.reserve(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        const auto t0 = Clock::now();
-        const auto [pivots, nodes, ok] = body();
-        double t = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-        if (!ok) {
-            t = std::max(t, cap_ms);
-            ++stats.failures;
-        }
-        ms.push_back(t);
-        stats.pivots = pivots;
-        stats.nodes = nodes;
-    }
-    std::sort(ms.begin(), ms.end());
-    stats.median_ms = ms[ms.size() / 2];
-    const std::size_t p95 =
-        std::min(ms.size() - 1,
-                 static_cast<std::size_t>(std::ceil(0.95 * static_cast<double>(ms.size()))) - 1);
-    stats.p95_ms = ms[p95];
-    return stats;
-}
-
 inline support::Json to_json(const RunStats& s) {
     support::Json j = support::Json::object();
     j.set("median_ms", s.median_ms);
     j.set("p95_ms", s.p95_ms);
     j.set("pivots", s.pivots);
     j.set("nodes", s.nodes);
-    if (s.failures > 0) j.set("failures", s.failures);
     return j;
 }
 
@@ -130,7 +87,7 @@ struct InstanceReport {
     std::string kind;
     std::int64_t vars = 0;
     std::int64_t rows = 0;
-    RunStats dense;
+    RunStats dense;  // comparison arm; median_ms == 0 when there is none
     RunStats sparse;
 
     [[nodiscard]] double speedup() const {
@@ -150,9 +107,9 @@ inline support::Json report_json(const std::string& suite,
         j.set("kind", inst.kind);
         j.set("vars", inst.vars);
         j.set("rows", inst.rows);
-        j.set("dense", to_json(inst.dense));
+        if (inst.dense.median_ms > 0.0) j.set("dense", to_json(inst.dense));
         j.set("sparse", to_json(inst.sparse));
-        j.set("speedup", inst.speedup());
+        if (inst.dense.median_ms > 0.0) j.set("speedup", inst.speedup());
         arr.push_back(std::move(j));
     }
     doc.set("instances", std::move(arr));
@@ -163,10 +120,16 @@ inline void print_table(const std::vector<InstanceReport>& instances) {
     std::printf("%-28s %10s %10s %10s %10s %8s\n", "instance", "dense ms", "sparse ms",
                 "pivots", "nodes", "speedup");
     for (const InstanceReport& i : instances) {
-        std::printf("%-28s %10.3f %10.3f %10lld %10lld %7.2fx\n", i.name.c_str(),
-                    i.dense.median_ms, i.sparse.median_ms,
-                    static_cast<long long>(i.sparse.pivots),
-                    static_cast<long long>(i.sparse.nodes), i.speedup());
+        if (i.dense.median_ms > 0.0) {
+            std::printf("%-28s %10.3f %10.3f %10lld %10lld %7.2fx\n", i.name.c_str(),
+                        i.dense.median_ms, i.sparse.median_ms,
+                        static_cast<long long>(i.sparse.pivots),
+                        static_cast<long long>(i.sparse.nodes), i.speedup());
+        } else {
+            std::printf("%-28s %10s %10.3f %10lld %10lld %8s\n", i.name.c_str(), "-",
+                        i.sparse.median_ms, static_cast<long long>(i.sparse.pivots),
+                        static_cast<long long>(i.sparse.nodes), "-");
+        }
     }
 }
 
@@ -194,20 +157,9 @@ inline int check_against_baseline(const std::vector<InstanceReport>& instances,
                         inst.sparse.median_ms);
             continue;
         }
-        const support::Json& entry = section->at(inst.name);
-        double base_sparse = 0.0;
-        double machine_factor = 1.0;  // how much slower this machine/run is
-        if (entry.is_number()) {
-            base_sparse = entry.as_number();
-        } else {
-            base_sparse = entry.at("sparse_ms").as_number();
-            const double base_dense = entry.at("dense_ms").as_number();
-            if (base_dense > 0.0 && inst.dense.median_ms > base_dense) {
-                machine_factor = inst.dense.median_ms / base_dense;
-            }
-        }
-        // +25% and a 5 ms noise floor, widened by the machine factor.
-        const double allowed = base_sparse * 1.25 * machine_factor + 5.0;
+        const double base_sparse = section->at(inst.name).at("sparse_ms").as_number();
+        // +25% and a 5 ms noise floor.
+        const double allowed = base_sparse * 1.25 + 5.0;
         if (inst.sparse.median_ms > allowed) {
             std::printf("check: %-28s REGRESSED %.3f ms > allowed %.3f ms\n",
                         inst.name.c_str(), inst.sparse.median_ms, allowed);
@@ -215,22 +167,6 @@ inline int check_against_baseline(const std::vector<InstanceReport>& instances,
         } else {
             std::printf("check: %-28s ok (%.3f ms <= %.3f ms)\n", inst.name.c_str(),
                         inst.sparse.median_ms, allowed);
-        }
-        // Pinned speedup floor: an instance whose baseline entry carries
-        // "min_speedup" additionally requires this run's dense/sparse ratio
-        // to clear it — the wins the suite exists to protect (warm-started
-        // sparse ≥ 5× dense on the deep-unroll placement MILPs) fail loudly
-        // if they erode, instead of decaying into a silent ratio drift.
-        if (!entry.is_number() && entry.contains("min_speedup")) {
-            const double floor_ratio = entry.at("min_speedup").as_number();
-            if (inst.speedup() < floor_ratio) {
-                std::printf("check: %-28s SPEEDUP %.2fx below pinned floor %.2fx\n",
-                            inst.name.c_str(), inst.speedup(), floor_ratio);
-                ++regressions;
-            } else {
-                std::printf("check: %-28s speedup %.2fx >= %.2fx\n", inst.name.c_str(),
-                            inst.speedup(), floor_ratio);
-            }
         }
     }
     return regressions;

@@ -1,6 +1,6 @@
-// Micro-benchmarks for the MILP substrate: bounded-variable simplex on
-// dense LPs of growing size, branch-and-bound on knapsacks, and the effect
-// of cost perturbation on a degeneracy-heavy placement-style LP.
+// Micro-benchmarks for the MILP substrate: the revised simplex on dense and
+// placement-shaped LPs of growing size, branch-and-bound on knapsacks, and
+// the effect of cost perturbation on a degeneracy-heavy placement-style LP.
 #include <benchmark/benchmark.h>
 
 #include "ilp/solver.hpp"
@@ -33,22 +33,9 @@ Model random_lp(int n, int m, std::uint64_t seed) {
     return model;
 }
 
-void BM_SimplexDense(benchmark::State& state) {
-    const int n = static_cast<int>(state.range(0));
-    const Model model = random_lp(n, n, 42);
-    for (auto _ : state) {
-        const LpResult r = solve_lp(model);
-        benchmark::DoNotOptimize(r.objective);
-    }
-    state.SetLabel("n=m=" + std::to_string(n));
-}
-BENCHMARK(BM_SimplexDense)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_SimplexSparseRevised(benchmark::State& state) {
-    // Same instances through the sparse revised simplex; apples-to-apples
-    // with BM_SimplexDense above (these dense random LPs are the sparse
-    // backend's worst case — its advantage grows with column sparsity, see
-    // bench_ilp's placement-style instances).
+void BM_SimplexDenseLp(benchmark::State& state) {
+    // Dense random LPs are the revised simplex's worst case: its per-pivot
+    // cost grows with the nonzeros (see BM_SimplexPlacementShape).
     const int n = static_cast<int>(state.range(0));
     const Model model = random_lp(n, n, 42);
     for (auto _ : state) {
@@ -57,7 +44,7 @@ void BM_SimplexSparseRevised(benchmark::State& state) {
     }
     state.SetLabel("n=m=" + std::to_string(n));
 }
-BENCHMARK(BM_SimplexSparseRevised)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_SimplexDenseLp)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 /// Placement-shaped LP: tall and sparse (each column touches 3 rows), the
 /// regime unrolled P4All programs put the solver in.
@@ -81,26 +68,19 @@ Model placement_lp(int rows, int cols, std::uint64_t seed) {
 }
 
 void BM_SimplexPlacementShape(benchmark::State& state) {
-    // arg0: rows; arg1: 0 = dense tableau, 1 = sparse revised.
     const int rows = static_cast<int>(state.range(0));
     const Model model = placement_lp(rows, rows * 12, 5);
-    const bool sparse = state.range(1) == 1;
     for (auto _ : state) {
-        const LpResult r = sparse ? solve_lp_sparse(model) : solve_lp(model);
+        const LpResult r = solve_lp_sparse(model);
         benchmark::DoNotOptimize(r.objective);
     }
-    state.SetLabel((sparse ? "sparse " : "dense ") + std::to_string(rows) + "x" +
-                   std::to_string(rows * 12));
+    state.SetLabel(std::to_string(rows) + "x" + std::to_string(rows * 12));
 }
-BENCHMARK(BM_SimplexPlacementShape)
-    ->Args({40, 0})
-    ->Args({40, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
+BENCHMARK(BM_SimplexPlacementShape)->Arg(40)->Arg(100);
 
 void BM_BestFirstParallelKnapsack(benchmark::State& state) {
-    // Deterministic parallel best-first over the sparse backend; arg is the
-    // thread count (results identical across all of them, by contract).
+    // Deterministic parallel best-first search; arg is the thread count
+    // (results identical across all of them, by contract).
     p4all::support::Xoshiro256 rng(9);
     Model model;
     LinExpr weight;
@@ -113,7 +93,6 @@ void BM_BestFirstParallelKnapsack(benchmark::State& state) {
     model.add_le(std::move(weight), 100.0);
     model.set_objective(value);
     SolveOptions o;
-    o.lp_backend = LpBackend::Sparse;
     o.threads = static_cast<int>(state.range(0));
     for (auto _ : state) {
         const Solution s = solve_milp(model, o);
@@ -172,7 +151,7 @@ void BM_PerturbationOnDegenerateLp(benchmark::State& state) {
     LpOptions lp;
     lp.perturbation = state.range(0) == 0 ? 1e-7 : 0.0;
     for (auto _ : state) {
-        const LpResult r = solve_lp(model, nullptr, nullptr, lp);
+        const LpResult r = solve_lp_sparse(model, nullptr, nullptr, lp);
         benchmark::DoNotOptimize(r.iterations);
     }
     state.SetLabel(state.range(0) == 0 ? "perturbed" : "unperturbed");

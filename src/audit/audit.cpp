@@ -21,6 +21,8 @@ std::unique_ptr<verify::LintPass> make_proof_fact_consistency_pass();
 std::unique_ptr<verify::LintPass> make_rewrite_validity_pass();
 // Implemented in cuts.cpp.
 std::unique_ptr<verify::LintPass> make_cut_validity_pass();
+// Implemented in formulation.cpp.
+std::unique_ptr<verify::LintPass> make_formulation_rows_pass();
 
 namespace {
 
@@ -517,6 +519,7 @@ void register_audit_passes(verify::PassRegistry& registry) {
     registry.add(std::make_unique<InfeasibleIncumbentPass>());
     registry.add(std::make_unique<CertificateGapPass>());
     registry.add(make_cut_validity_pass());
+    registry.add(make_formulation_rows_pass());
     registry.add(make_register_bounds_proof_pass());
     registry.add(make_proof_fact_consistency_pass());
     registry.add(make_rewrite_validity_pass());

@@ -73,6 +73,94 @@ void compute_windows(const DepGraph& g, int stages, std::vector<int>& earliest,
     }
 }
 
+/// A live register row whose size is the element-count variable of its
+/// register's element symbol while `gate` (a 0/1 expression) is 1.
+struct SizedRow {
+    ir::RegisterId reg = 0;
+    std::int64_t row = 0;
+    Var e;
+    LinExpr gate;
+};
+
+/// Gate identity: the sorted variable ids of the gate expression (every
+/// gate term has coefficient 1).
+std::vector<int> gate_key(const LinExpr& gate) {
+    std::vector<int> ids;
+    for (const auto& [id, c] : gate.terms()) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+/// eqsize_*: every row that shares an element symbol and a gate with an
+/// earlier row is pinned to that first row's size.
+void add_equal_size_rows(const ir::Program& prog, const std::vector<SizedRow>& sized,
+                         ilp::Model& m) {
+    std::map<std::pair<SymbolId, std::vector<int>>, const SizedRow*> first;
+    for (const SizedRow& r : sized) {
+        const auto [it, inserted] =
+            first.try_emplace({prog.reg(r.reg).elems.sym, gate_key(r.gate)}, &r);
+        if (inserted) continue;
+        const SizedRow& a = *it->second;
+        m.add_eq(LinExpr().add(a.e, 1.0).add(r.e, -1.0), 0,
+                 "eqsize_" + prog.reg(a.reg).name + "_" + std::to_string(a.row) + "_" +
+                     prog.reg(r.reg).name + "_" + std::to_string(r.row));
+    }
+}
+
+/// pigeon_*: groups live rows by (class of element symbols tied by
+/// `assume a == b`, width) and adds the memory pigeonhole row of every group
+/// with S < R_max ≤ 2S (see the header). n is the group's smallest element
+/// symbol; the assume rows make every other count in the group equal to it.
+void add_pigeonhole_rows(const ir::Program& prog, const target::TargetSpec& target,
+                         const GeneratedIlp& gen, const std::vector<SizedRow>& sized,
+                         ilp::Model& m) {
+    std::map<SymbolId, SymbolId> parent;
+    const auto find = [&](SymbolId v) {
+        while (parent.count(v) != 0 && parent[v] != v) v = parent[v];
+        return v;
+    };
+    for (const ir::PolyConstraint& pc : prog.assumes) {
+        if (pc.op != ir::CmpOp::Eq) continue;
+        std::vector<ir::PolyTerm> linear;
+        bool tie = true;
+        for (const ir::PolyTerm& t : pc.poly.terms()) {
+            if (t.degree() == 0 && t.coeff == 0.0) continue;
+            tie = tie && t.degree() == 1 &&
+                  prog.symbol(t.a).role == ir::SymbolRole::ElementCount;
+            linear.push_back(t);
+        }
+        if (!tie || linear.size() != 2 || linear[0].coeff != -linear[1].coeff) continue;
+        const SymbolId a = find(linear[0].a);
+        const SymbolId b = find(linear[1].a);
+        parent[std::max(a, b)] = std::min(a, b);
+    }
+
+    std::map<std::pair<SymbolId, std::int64_t>, std::vector<const SizedRow*>> groups;
+    for (const SizedRow& r : sized) {
+        const ir::RegisterArray& reg = prog.reg(r.reg);
+        groups[{find(reg.elems.sym), reg.width}].push_back(&r);
+    }
+    const std::int64_t S = target.stages;
+    const std::int64_t M = target.memory_bits;
+    for (const auto& [key, rows] : groups) {
+        const auto r_max = static_cast<std::int64_t>(rows.size());
+        if (r_max <= S || r_max > 2 * S) continue;
+        const std::int64_t w = key.second;
+        SymbolId n = prog.reg(rows.front()->reg).elems.sym;
+        for (const SizedRow* r : rows) n = std::min(n, prog.reg(r->reg).elems.sym);
+        LinExpr e;
+        e.add(gen.elem_count.at(n), static_cast<double>(2 * w * (r_max - S)));
+        for (const SizedRow* r : rows) {
+            for (const auto& [id, c] : r->gate.terms()) {
+                e.add(Var{id}, static_cast<double>(M) * c);
+            }
+        }
+        e.normalize();
+        m.add_le(std::move(e), static_cast<double>(M * (2 * r_max - S)),
+                 "pigeon_" + prog.symbol(n).name + "_w" + std::to_string(w));
+    }
+}
+
 }  // namespace
 
 GeneratedIlp generate_ilp(const ir::Program& prog, const target::TargetSpec& target,
@@ -230,26 +318,6 @@ GeneratedIlp generate_ilp(const ir::Program& prog, const target::TargetSpec& tar
     for (const auto& [a, b] : g.before) add_order_edge(a, b, 1.0, "prec");
     for (const auto& [a, b] : g.not_after) add_order_edge(a, b, 0.0, "war");
 
-    // Symmetry breaking: consecutive iterations of one call site occupy
-    // non-decreasing stages (skipped when a real edge already orders them).
-    if (options.symmetry_breaking) {
-        std::map<std::pair<int, std::int64_t>, int> inst_node;
-        for (std::size_t i = 0; i < g.instances.size(); ++i) {
-            inst_node[{g.instances[i].call, g.instances[i].iter}] = g.node_of[i];
-        }
-        std::set<std::pair<int, int>> added;
-        for (std::size_t i = 0; i < g.instances.size(); ++i) {
-            const Instance& inst = g.instances[i];
-            const auto next = inst_node.find({inst.call, inst.iter + 1});
-            if (next == inst_node.end()) continue;
-            const int a = g.node_of[i];
-            const int b = next->second;
-            if (a == b) continue;
-            if (g.before.count({a, b}) != 0 || g.before.count({b, a}) != 0) continue;
-            if (added.insert({a, b}).second) add_order_edge(a, b, 0.0, "sym");
-        }
-    }
-
     // --- ALU / hash-unit limits (#11, #12) ----------------------------------
     for (int s = 0; s < S; ++s) {
         LinExpr stateful;
@@ -309,6 +377,7 @@ GeneratedIlp generate_ilp(const ir::Program& prog, const target::TargetSpec& tar
 
     // Memory per stage, accumulated while creating me / e vars.
     std::vector<LinExpr> stage_mem(static_cast<std::size_t>(S));
+    std::vector<SizedRow> sized;  // live rows with a symbolic element count
     for (std::size_t ri = 0; ri < prog.registers.size(); ++ri) {
         const ir::RegisterArray& r = prog.registers[ri];
         const ir::RegisterId rid = static_cast<ir::RegisterId>(ri);
@@ -389,6 +458,7 @@ GeneratedIlp generate_ilp(const ir::Program& prog, const target::TargetSpec& tar
             distribute.add(e, -static_cast<double>(r.width));
             m.add_eq(std::move(distribute), 0,
                      "medist_" + r.name + "_" + std::to_string(row));
+            sized.push_back({rid, row, e, std::move(gate)});
         }
     }
     for (int s = 0; s < S; ++s) {
@@ -399,6 +469,8 @@ GeneratedIlp generate_ilp(const ir::Program& prog, const target::TargetSpec& tar
                      "mem_s" + std::to_string(s));
         }
     }
+    add_equal_size_rows(prog, sized, m);
+    add_pigeonhole_rows(prog, target, gen, sized, m);
 
     // --- PHV (#13, #14) -------------------------------------------------------
     std::map<analysis::MetaChunk, std::set<int>> chunk_nodes;

@@ -30,6 +30,17 @@
 //   plus every `assume` constraint and the `optimize` objective, lowered
 //   through the symbol mapping v ↦ Σ_i y[v,i], w ↦ n_e[w],
 //   v·w ↦ Σ_i e[r,i] (register-matrix size).
+//
+// Derived rows (valid for every integer point of the rows above; they only
+// tighten the LP relaxation, and the ilp-formulation-rows audit pass
+// re-derives each one from the IR)
+//   eqsize_*  e[r1,i] = e[r2,i] for register rows sharing an element symbol
+//             and a gate: both equal n_e when the gate is 1, both 0 when not.
+//   pigeon_*  for a group of R_max live rows of width w whose element symbols
+//             are tied by `assume a == b` (one count n), with S < R_max ≤ 2S:
+//             2w(R_max−S)·n + M·Σ gates ≤ M·(2R_max − S). Once more than S
+//             rows are placed some stage holds two of them, so 2·w·n ≤ M;
+//             the row interpolates n ≤ M/w at S rows and n ≤ M/(2w) at R_max.
 #pragma once
 
 #include <map>
@@ -48,12 +59,6 @@ struct IlpGenOptions {
     /// a presolve that shrinks the model without cutting any feasible
     /// layout. Ablated in bench/ablate_presolve.
     bool stage_windows = true;
-    /// Break iteration symmetry: consecutive iterations of the same loop are
-    /// interchangeable (same costs, same shape), so force their nodes into
-    /// non-decreasing stages. Sound, but with the greedy warm start and the
-    /// optimality-gap pruning the extra big-M rows cost more than the cut
-    /// branches save (see bench/ablate_presolve) — off by default.
-    bool symmetry_breaking = false;
 };
 
 /// The generated model plus the bookkeeping needed to read a layout back

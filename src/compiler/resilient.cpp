@@ -123,12 +123,11 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
 
     // Every attempt emits artifacts (the gate needs them) and shares the
     // hard pipeline stop so greedy search and codegen stay bounded too. Every
-    // ILP rung relaxes its nodes with the sparse revised simplex on all
-    // cores; the search is bit-identical at any thread count.
+    // ILP rung relaxes its nodes on all cores; the search is bit-identical at
+    // any thread count.
     CompileOptions common = base;
     common.emit_artifacts = true;
     common.deadline = hard;
-    common.solve.lp_backend = ilp::LpBackend::Sparse;
     common.solve.threads = 0;
 
     // The caller's backend names the first rung; the portfolio falls through

@@ -46,7 +46,7 @@ struct ResilienceOptions {
     support::CancelToken cancel;
 
     /// Optional external acceptance gate run over each successful attempt's
-    /// artifacts (e.g. audit::make_resilience_gate(), which runs the nine
+    /// artifacts (e.g. audit::make_resilience_gate(), which runs the ten
     /// independent audit passes). Returns an empty string to accept, or a
     /// rejection message; rejection falls through to the next backend. The
     /// driver cannot call the audit layer directly (it links the other way),

@@ -100,7 +100,7 @@ struct CutLimits {
                                                           double min_violation);
 
 /// One separation round at LP point `point`: Gomory cuts from the tableau
-/// probe (empty for the dense backend) plus cover cuts from qualifying
+/// probe plus cover cuts from qualifying
 /// rows, deduplicated against `prior` and each other, capped by `limits`
 /// (`total_so_far` counts cuts already pooled). Deterministic: output order
 /// is a pure function of the inputs.

@@ -13,22 +13,21 @@ namespace p4all::ilp {
 
 namespace {
 
-/// Consecutive degenerate pivots tolerated before Bland's rule engages
-/// (same policy as the dense solver).
+/// Consecutive degenerate pivots tolerated before Bland's rule engages.
 constexpr int kDegeneratePivotLimit(int rows) { return 2 * (rows + 16); }
 
 /// Bounded-variable two-phase revised simplex over CSC + eta-file factors.
 ///
-/// The standard-form construction mirrors simplex.cpp exactly — variables
-/// shifted to y = x − lb ∈ [0, span], Ge rows negated to Le, negative-rhs
-/// rows negated again, slacks on Le rows, artificials on Eq/negated rows —
-/// so both backends expose identical status/dual conventions. On top of
-/// that, singleton rows (one variable — the shape `assume lo <= x <= hi`
-/// ranges produce) are folded into the variable's working bounds during the
-/// build instead of becoming explicit rows: the bounded-variable mechanics
-/// already handle them for free, and their dual multiplier is reported as 0
-/// (always sign-correct, so the weak-duality certificate stays valid — a
-/// folded row can only loosen the certified gap, never unsound it).
+/// Standard form: variables shifted to y = x − lb ∈ [0, span], Ge rows
+/// negated to Le, negative-rhs rows negated again, slacks on Le rows,
+/// artificials on Eq/negated rows. Singleton rows (one variable — the shape
+/// `assume lo <= x <= hi` ranges produce) are folded into the variable's
+/// working bounds during the build instead of becoming explicit rows: the
+/// bounded-variable mechanics already handle them for free. A folded row's
+/// dual takes over the reduced cost of its variable when that cost pushes
+/// against the bound the row set (sign-correct by construction), and is 0
+/// otherwise — so the weak-duality certificate certifies the folded bound
+/// rather than the looser (possibly infinite) model bound.
 class RevisedSimplex {
 public:
     RevisedSimplex(const Model& model, const std::vector<double>& lb,
@@ -108,9 +107,9 @@ public:
 
         // Dual extraction via BTRAN: y solves Bᵀy = c_B, so the reduced cost
         // of row i's auxiliary column (cost 0, single entry v at row i) is
-        // r_aux = −v·y_i, and the maximize-convention dual is σ·r_aux with
-        // the same σ bookkeeping as the dense tableau. Folded singleton rows
-        // report dual 0.
+        // r_aux = −v·y_i, and the maximize-convention dual is σ·r_aux, σ
+        // undoing the row's standard-form negations. Folded singleton rows
+        // are filled in afterwards (attribute_folded_duals).
         std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
         for (int i = 0; i < m_; ++i) {
             y[static_cast<std::size_t>(i)] =
@@ -125,6 +124,7 @@ public:
             result.duals[static_cast<std::size_t>(orig_row_[is])] =
                 static_cast<double>(dual_sign_[is]) * r_aux * row_scale_[is];
         }
+        attribute_folded_duals(result.duals);
 
         result.values.assign(static_cast<std::size_t>(n_), 0.0);
         for (int j = 0; j < n_; ++j) {
@@ -154,6 +154,8 @@ private:
     bool build(LpResult& result) {
         work_lb_ = lb_;
         work_ub_ = ub_;
+        fold_lb_row_.assign(static_cast<std::size_t>(n_), -1);
+        fold_ub_row_.assign(static_cast<std::size_t>(n_), -1);
         for (int j = 0; j < n_; ++j) {
             if (work_ub_[static_cast<std::size_t>(j)] - work_lb_[static_cast<std::size_t>(j)] <
                 -1e-12) {
@@ -178,7 +180,7 @@ private:
             ++orig_index;
             // Singleton-row presolve against the *unshifted* bounds.
             if (c.expr.terms().size() <= 1) {
-                if (!fold_singleton(c)) {
+                if (!fold_singleton(c, orig_index)) {
                     result.status = LpStatus::Infeasible;
                     return false;
                 }
@@ -206,10 +208,9 @@ private:
         }
         m_ = static_cast<int>(rows.size());
 
-        // Equilibrate (scaling.hpp) — identical policy to the dense backend
-        // so both solve the same scaled problem: power-of-two row/column
-        // factors keep entries near 1 and the absolute tolerances sound on
-        // models mixing O(1) utility rows with O(10^6) memory rows.
+        // Equilibrate (scaling.hpp): power-of-two row/column factors keep
+        // entries near 1 and the absolute tolerances sound on models mixing
+        // O(1) utility rows with O(10^6) memory rows.
         {
             std::vector<std::vector<std::pair<int, double>>> term_rows;
             term_rows.reserve(rows.size());
@@ -331,9 +332,10 @@ private:
         return recompute_state();
     }
 
-    /// Folds a 0- or 1-term constraint into the working bounds. Returns
-    /// false when the fold makes the constraint unsatisfiable.
-    bool fold_singleton(const Constraint& c) {
+    /// Folds a 0- or 1-term constraint (model row `row`) into the working
+    /// bounds, remembering which row set each strictly tightened bound.
+    /// Returns false when the fold makes the constraint unsatisfiable.
+    bool fold_singleton(const Constraint& c, int row) {
         const double rhs = c.rhs - c.expr.constant();
         if (c.expr.terms().empty() ||
             c.expr.terms().front().second == 0.0) {
@@ -353,15 +355,48 @@ private:
             (c.sense == CmpSense::Le && a > 0) || (c.sense == CmpSense::Ge && a < 0);
         const bool tightens_lb =
             (c.sense == CmpSense::Ge && a > 0) || (c.sense == CmpSense::Le && a < 0);
-        if (c.sense == CmpSense::Eq || tightens_ub) {
-            work_ub_[js] = std::min(work_ub_[js], v);
+        if ((c.sense == CmpSense::Eq || tightens_ub) && v < work_ub_[js]) {
+            work_ub_[js] = v;
+            fold_ub_row_[js] = row;
         }
-        if (c.sense == CmpSense::Eq || tightens_lb) {
-            work_lb_[js] = std::max(work_lb_[js], v);
+        if ((c.sense == CmpSense::Eq || tightens_lb) && v > work_lb_[js]) {
+            work_lb_[js] = v;
+            fold_lb_row_[js] = row;
         }
-        // LP feasibility tolerance: an epsilon-inverted interval is an empty
-        // domain only beyond the same tolerance the dense solver applies.
+        // An epsilon-inverted interval is an empty domain only beyond the
+        // LP feasibility tolerance.
         return work_ub_[js] - work_lb_[js] >= -1e-9;
+    }
+
+    /// Moves each variable's reduced cost d_j = c_j − Σ_i y_i·a_ij onto the
+    /// folded row that set the bound d_j pushes against: λ = d_j / a. That
+    /// row tightened an upper bound when d_j > 0 (Le with a > 0, Ge with
+    /// a < 0, or Eq) and a lower bound when d_j < 0, so λ always has its
+    /// row's dual sign.
+    void attribute_folded_duals(std::vector<double>& duals) const {
+        const auto unset = [](int row) { return row < 0; };
+        if (std::all_of(fold_lb_row_.begin(), fold_lb_row_.end(), unset) &&
+            std::all_of(fold_ub_row_.begin(), fold_ub_row_.end(), unset)) {
+            return;
+        }
+        std::vector<double> d(static_cast<std::size_t>(n_), 0.0);
+        for (const auto& [id, c] : model_.objective().terms()) {
+            d[static_cast<std::size_t>(id)] += c;
+        }
+        const std::vector<Constraint>& rows = model_.constraints();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (duals[i] == 0.0) continue;
+            for (const auto& [id, a] : rows[i].expr.terms()) {
+                d[static_cast<std::size_t>(id)] -= duals[i] * a;
+            }
+        }
+        for (int j = 0; j < n_; ++j) {
+            const std::size_t js = static_cast<std::size_t>(j);
+            const int row = d[js] > 0.0 ? fold_ub_row_[js] : d[js] < 0.0 ? fold_lb_row_[js] : -1;
+            if (row < 0) continue;
+            const std::size_t rs = static_cast<std::size_t>(row);
+            duals[rs] += d[js] / rows[rs].expr.terms().front().second;
+        }
     }
 
     /// Refactorizes the basis and recomputes the basic values
@@ -393,15 +428,14 @@ private:
             // the scaled objective value equal to the true one).
             cost_[static_cast<std::size_t>(id)] = -c * col_scale_[static_cast<std::size_t>(id)];
         }
-        // Deterministic cost perturbation, same formula as the dense solver
-        // (simplex.cpp) so the exactly-accounted bound budget is identical.
-        // When the caller supplies frozen reference bounds, the magnitude is
-        // derived from the reference span instead of the per-call span: the
-        // perturbed cost vector is then constant across a whole
-        // branch-and-bound tree, which is what keeps a parent's optimal
-        // basis dual-feasible in its children. The slack accounting still
-        // uses the per-call span (≤ reference span under branching), so the
-        // certified bound stays exact at every node.
+        // Deterministic cost perturbation with an exactly-accounted bound
+        // budget. When the caller supplies frozen reference bounds, the
+        // magnitude is derived from the reference span instead of the
+        // per-call span: the perturbed cost vector is then constant across
+        // a whole branch-and-bound tree, which is what keeps a parent's
+        // optimal basis dual-feasible in its children. The slack accounting
+        // still uses the per-call span (≤ reference span under branching),
+        // so the certified bound stays exact at every node.
         bound_slack_ = 0.0;
         if (options_.perturbation > 0.0) {
             const bool has_ref =
@@ -838,9 +872,8 @@ private:
             factor_.ftran(w);
 
             // Ratio test: Harris-style two-pass under Devex, exact minimal
-            // ratio with smallest-index ties under Bland (identical policy
-            // to the dense solver — the anti-cycling guarantee depends on
-            // the exact rule).
+            // ratio with smallest-index ties under Bland (the anti-cycling
+            // guarantee depends on the exact rule).
             double t = span_[es];  // own opposite bound ⇒ bound flip
             for (int i = 0; i < m_; ++i) {
                 const double beta = enter_dir * w[static_cast<std::size_t>(i)];
@@ -928,9 +961,8 @@ private:
                 continue;  // re-price with exact factors
             }
 
-            // Anti-cycling guard, same policy as the dense solver: a long
-            // degenerate stall engages Bland's rule; strict progress
-            // disengages it.
+            // Anti-cycling guard: a long degenerate stall engages Bland's
+            // rule; strict progress disengages it.
             const double delta = enter_reduced * enter_dir * t;
             if (std::abs(delta) < 1e-12) {
                 if (++stall > kDegeneratePivotLimit(m_)) bland = true;
@@ -950,7 +982,7 @@ private:
             }
 
             // Fault point: simulates the basis-corrupting pivot breakdown
-            // this status exists for (shared budget with the dense solver).
+            // this status exists for.
             if (support::fault_fires("simplex.pivot")) {
                 error_ = support::Errc::NumericalTrouble;
                 return LpStatus::IterLimit;
@@ -1020,6 +1052,8 @@ private:
     BasisFactorization factor_;
     std::vector<double> work_lb_;   // caller bounds tightened by folded rows
     std::vector<double> work_ub_;
+    std::vector<int> fold_lb_row_;  // model row that set work_lb_ (−1: none)
+    std::vector<int> fold_ub_row_;  // model row that set work_ub_ (−1: none)
     std::vector<double> cost_;      // active minimization costs
     std::vector<double> span_;      // per-column width of [0, d]
     std::vector<double> rhs_;       // normalized right-hand sides
@@ -1070,12 +1104,6 @@ LpResult solve_lp_sparse(const Model& model, const std::vector<double>* lb,
     }
     RevisedSimplex solver(model, *lb, *ub, options);
     return solver.solve();
-}
-
-LpResult solve_lp_with(LpBackend backend, const Model& model, const std::vector<double>* lb,
-                       const std::vector<double>* ub, const LpOptions& options) {
-    return backend == LpBackend::Sparse ? solve_lp_sparse(model, lb, ub, options)
-                                        : solve_lp(model, lb, ub, options);
 }
 
 }  // namespace p4all::ilp

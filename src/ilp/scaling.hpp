@@ -1,12 +1,12 @@
 // Geometric-mean equilibration for the simplex standard form.
 //
 // Placement LPs mix O(1) utility rows with memory rows whose coefficients
-// and bounds reach ~10^6 (register widths × max array sizes). Both simplex
-// backends price and pivot with absolute tolerances, which is only sound
-// when the matrix is roughly equilibrated: on raw netcache-scale data a
-// dense tableau accumulates enough error after a few hundred pivots that
-// truly-improving columns price as non-improving and the solver declares a
-// premature optimum. Scaling row i by ρ_i and structural column j by s_j
+// and bounds reach ~10^6 (register widths × max array sizes). The simplex
+// prices and pivots with absolute tolerances, which is only sound when the
+// matrix is roughly equilibrated: on raw netcache-scale data the basis
+// accumulates enough error after a few hundred pivots that truly-improving
+// columns price as non-improving and the solver declares a premature
+// optimum. Scaling row i by ρ_i and structural column j by s_j
 // (both positive powers of two, so the scaling itself introduces **zero**
 // floating-point rounding) brings every entry near 1; the solve runs on the
 // scaled problem and the caller maps the result back:

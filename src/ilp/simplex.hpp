@@ -1,15 +1,6 @@
-// Dense two-phase primal simplex for LP relaxations.
-//
-// Solves  maximize c'x  s.t. model constraints and variable bounds,
-// with optional per-call bound overrides so branch-and-bound can tighten
-// bounds without copying the model. All lower bounds must be finite (true
-// for every model the compiler builds: placements and sizes are ≥ 0).
-//
-// Implementation: variables are shifted to y = x - lb ≥ 0; finite upper
-// bounds become explicit rows; Ge/Eq rows get artificial variables; phase 1
-// minimizes the artificial sum, phase 2 optimizes the real objective.
-// Dantzig pricing with an automatic switch to Bland's rule guards against
-// cycling.
+// Shared LP types: the status, result, options and basis contract of the
+// simplex engine (revised_simplex.hpp) that branch-and-bound, the cut loop
+// and the audit layer exchange.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +16,9 @@ enum class LpStatus { Optimal, Infeasible, Unbounded, IterLimit };
 
 /// A captured simplex basis: for each standard-form row the basic column
 /// index, plus the nonbasic-at-upper flag of every standard-form column.
-/// Column identities live in the producing backend's own standard form
-/// (structurals, then slacks, then artificials), so a basis is only
-/// meaningful when re-imported into the same backend for the same model —
+/// Column identities live in the engine's standard form (structurals, then
+/// slacks, then artificials), so a basis is only meaningful when re-imported
+/// for the same model —
 /// possibly with different variable bounds, which is exactly the
 /// branch-and-bound warm-start case: a child differs from its parent by one
 /// bound, the parent's optimal basis stays dual-feasible, and the dual
@@ -105,15 +96,15 @@ struct LpOptions {
     /// single long solve cannot overshoot a caller's time limit). Expiry
     /// returns IterLimit with deadline_hit set.
     support::Deadline deadline;
-    /// Warm-start basis (sparse backend only; dense ignores it). Installed
-    /// before phase 1; when it proves dual-feasible under the current costs,
-    /// the dual simplex restores primal feasibility directly and phase 1 is
-    /// skipped entirely. A basis that fails to factorize or is not
-    /// dual-feasible falls back to the cold two-phase path — a warm start
-    /// can never change the result, only the route to it.
+    /// Warm-start basis. Installed before phase 1; when it proves
+    /// dual-feasible under the current costs, the dual simplex restores
+    /// primal feasibility directly and phase 1 is skipped entirely. A basis
+    /// that fails to factorize or is not dual-feasible falls back to the
+    /// cold two-phase path — a warm start can never change the result, only
+    /// the route to it.
     const SimplexBasis* warm_basis = nullptr;
     /// When non-null and the solve ends Optimal, the optimal basis is
-    /// written here (sparse backend only) for reuse by child nodes.
+    /// written here for reuse by child nodes.
     SimplexBasis* capture_basis = nullptr;
     /// Frozen reference bounds for the deterministic cost perturbation
     /// (size == model.num_vars() when set). The perturbation magnitude is
@@ -122,13 +113,12 @@ struct LpOptions {
     /// — the invariant that keeps a parent's optimal basis dual-feasible in
     /// its children. The exact bound_slack accounting still uses the
     /// per-call spans (which only shrink under branching), so LpResult::bound
-    /// stays a valid upper bound at every node. Both backends honor this so
-    /// their perturbed optima remain comparable.
+    /// stays a valid upper bound at every node.
     const std::vector<double>* perturb_ref_lb = nullptr;
     const std::vector<double>* perturb_ref_ub = nullptr;
-    /// When non-null and the solve ends Optimal, the sparse backend deposits
-    /// one TableauRow per fractional basic integer-typed structural variable
-    /// (cut separation input). Dense backend ignores it.
+    /// When non-null and the solve ends Optimal, the engine deposits one
+    /// TableauRow per fractional basic integer-typed structural variable
+    /// (cut separation input).
     std::vector<TableauRow>* gomory_probe = nullptr;
     /// When non-null, the engine appends the (scaled, perturbed,
     /// minimize-form) objective value after every dual simplex pivot — the
@@ -137,14 +127,5 @@ struct LpOptions {
     /// maximum never increases while dual feasibility is maintained).
     std::vector<double>* dual_pivot_trace = nullptr;
 };
-
-/// Solves the LP relaxation (integrality ignored). `lb`/`ub` override the
-/// model bounds when non-null (must have size == model.num_vars()).
-/// Implementation: bounded-variable primal simplex — variable bounds are
-/// handled implicitly (nonbasic-at-lower/upper with bound flips), so the
-/// tableau has one row per constraint only.
-[[nodiscard]] LpResult solve_lp(const Model& model, const std::vector<double>* lb = nullptr,
-                                const std::vector<double>* ub = nullptr,
-                                const LpOptions& options = {});
 
 }  // namespace p4all::ilp

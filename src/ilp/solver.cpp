@@ -164,8 +164,8 @@ struct SearchContext {
     /// root_bound for the cut-extended root — the engine then skips its own
     /// root-certificate capture.
     bool root_certified = false;
-    /// Sparse backend with warm starts enabled: thread parent bases to
-    /// children and capture each node's optimal basis.
+    /// Warm starts enabled: thread parent bases to children and capture
+    /// each node's optimal basis.
     bool use_warm = false;
 };
 
@@ -428,8 +428,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                 }
                 node_options.capture_basis = &captures[is];
             }
-            results[is] = solve_lp_with(options.lp_backend, work, &node.lb, &node.ub,
-                                        node_options);
+            results[is] = solve_lp_sparse(work, &node.lb, &node.ub, node_options);
         });
 
         // --- serial commit, in batch (deterministic) order ------------
@@ -445,11 +444,9 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
             }
             if (!ctx.root_certified && node.seq == 0 && lp.status == LpStatus::Optimal) {
                 // Root relaxation: keep its dual certificate so the audit
-                // layer can independently witness the global bound. The
-                // duals arrive through the backend-agnostic LpResult
-                // contract — dense tableau and sparse BTRAN alike. (When the
-                // cut loop ran, the cut-extended certificate it committed
-                // supersedes this capture.)
+                // layer can independently witness the global bound. (When
+                // the cut loop ran, the cut-extended certificate it
+                // committed supersedes this capture.)
                 best.root_duals = lp.duals;
                 best.root_bound = lp.bound;
                 best.root_bound_slack = lp.bound_slack;
@@ -609,9 +606,8 @@ RootCutResult run_root_cut_loop(const Model& base, const Model& cut_model,
     lp_options.perturb_ref_lb = &root_lb;
     lp_options.perturb_ref_ub = &root_ub;
     std::vector<TableauRow> probe;
-    if (options.lp_backend == LpBackend::Sparse) lp_options.gomory_probe = &probe;
-    const bool use_warm =
-        options.lp_backend == LpBackend::Sparse && options.warm_start_lp;
+    lp_options.gomory_probe = &probe;
+    const bool use_warm = options.warm_start_lp;
 
     Model work = base;
     std::vector<CertifiedCut> pool;   // every cut currently appended to `work`
@@ -635,8 +631,7 @@ RootCutResult run_root_cut_loop(const Model& base, const Model& cut_model,
             if (!warm_store.empty()) round_options.warm_basis = &warm_store;
             round_options.capture_basis = &captured;
         }
-        const LpResult lp =
-            solve_lp_with(options.lp_backend, work, &root_lb, &root_ub, round_options);
+        const LpResult lp = solve_lp_sparse(work, &root_lb, &root_ub, round_options);
         out.lp_iterations += lp.iterations;
         // Any non-optimal outcome ends separation: the uncertified suffix is
         // rolled back below and the engine takes over (it re-solves the
@@ -718,8 +713,8 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
 
     // Root presolve: exact bound tightening + coefficient cleanup. The
     // tightened bounds become the root node AND the frozen perturbation
-    // reference (both backends derive the perturbed cost vector from them,
-    // so it is constant across the whole tree — the warm-start invariant).
+    // reference (the perturbed cost vector derives from them, so it is
+    // constant across the whole tree — the warm-start invariant).
     const PresolveResult pre = presolve(model);
     if (pre.infeasible) {
         Solution out;
@@ -748,7 +743,7 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
     ctx.root_ub = &pre.ub;
     ctx.root_basis = root.basis;
     ctx.root_certified = root.certified;
-    ctx.use_warm = options.lp_backend == LpBackend::Sparse && options.warm_start_lp;
+    ctx.use_warm = options.warm_start_lp;
 
     Solution best = solve_milp_best_first(ctx, options, deadline, start);
 
@@ -800,7 +795,7 @@ void enumerate(const Model& model, std::vector<int>& int_vars, std::size_t depth
         // All integers fixed: solve the continuous remainder (or just check).
         LpOptions lp_options;
         lp_options.deadline = deadline;
-        const LpResult lp = solve_lp(model, &lb, &ub, lp_options);
+        const LpResult lp = solve_lp_sparse(model, &lb, &ub, lp_options);
         best.lp_iterations += lp.iterations;
         ++best.nodes;
         if (lp.deadline_hit) {

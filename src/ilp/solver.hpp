@@ -64,16 +64,13 @@ struct SolveOptions {
     double int_tol = 1e-6;
     /// Optimality gap: a node is pruned when its bound is within
     /// max(gap_absolute, gap_relative·|incumbent|) of the incumbent.
-    /// Mirrors production MILP-solver defaults; also absorbs the simplex
-    /// cost-perturbation slack so proof trees close.
+    /// gap_relative is Gurobi's default MIPGap; it also absorbs the simplex
+    /// cost-perturbation slack and the integer rounding of element counts
+    /// (netcache's LP bound sits 2.3e-5 above its integral optimum), so
+    /// proof trees close.
     double gap_absolute = 1e-5;
-    double gap_relative = 1e-6;
+    double gap_relative = 1e-4;
     LpOptions lp;
-    /// Which simplex implementation relaxes every node (and therefore which
-    /// backend produces Solution::root_duals / root_bound_slack — the root
-    /// certificate is routed through the backend-agnostic LpResult contract,
-    /// so the audit layer never needs to know which solver ran).
-    LpBackend lp_backend = LpBackend::Dense;
     /// Worker threads for the node LPs of a batch. 0 picks the hardware
     /// concurrency. Results are identical for every value — threads only
     /// split the LP work inside a batch.
@@ -89,8 +86,7 @@ struct SolveOptions {
     bool cuts_enabled = true;
     CutLimits cut_limits;
     /// Warm-start each branch-and-bound child LP from its parent's optimal
-    /// basis via dual simplex (sparse backend only; the dense backend and
-    /// cold solves are unaffected). A child differs from its parent by one
+    /// basis via dual simplex. A child differs from its parent by one
     /// variable bound, so the parent basis is dual-feasible and typically a
     /// handful of pivots from the child optimum. Never changes any result —
     /// only the route to it — so determinism and the differential oracle are

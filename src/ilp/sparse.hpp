@@ -5,9 +5,8 @@
 //   CscMatrix            compressed-sparse-column storage of the standard-
 //                        form constraint matrix. Placement MILPs are very
 //                        sparse (each placement column touches a handful of
-//                        rows), so per-iteration work priced against nnz
-//                        instead of m·n is the main speed lever over the
-//                        dense tableau in simplex.cpp.
+//                        rows), so per-iteration work is priced against
+//                        nnz instead of a dense tableau's m·n.
 //
 //   BasisFactorization   factors of the current basis B with an eta file
 //                        (product-form updates) layered on top. Simplex

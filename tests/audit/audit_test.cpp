@@ -51,7 +51,7 @@ TEST(Audit, AcceptsUntamperedCompile) {
     ASSERT_NE(r.artifacts, nullptr);
     const verify::LintResult lint = audit_artifacts(r.program, *r.artifacts);
     EXPECT_FALSE(lint.has_errors()) << lint.render();
-    EXPECT_EQ(lint.checks_run.size(), 9u);
+    EXPECT_EQ(lint.checks_run.size(), 10u);
     // The untampered ILP compile must come with a validated root certificate.
     bool certified = false;
     for (const verify::Finding& f : lint.findings) {

@@ -165,7 +165,7 @@ TEST(Certificate, RejectsWrongIncumbentArity) {
 // --- Duality-gap validation of solver-produced certificates ---------------
 
 void expect_solver_certificate_valid(const Model& m) {
-    const LpResult r = ilp::solve_lp(m);
+    const LpResult r = ilp::solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     ASSERT_EQ(r.duals.size(), m.constraints().size());
     const CertificateReport rep =

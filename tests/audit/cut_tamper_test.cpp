@@ -47,7 +47,6 @@ const GomoryFixture& gomory_fixture() {
             ilp::LinExpr().add(x1, 2).add(x2, 2).add(x3, 2), 3, "knap");
         out.model.set_objective(ilp::LinExpr().add(x1, 1).add(x2, 1).add(x3, 1));
         ilp::SolveOptions o;
-        o.lp_backend = ilp::LpBackend::Sparse;
         out.cuts = ilp::solve_milp(out.model, o).cuts;
         return out;
     }();

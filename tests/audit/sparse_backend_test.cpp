@@ -1,9 +1,9 @@
-// Audit regression for the fast solver core: all four benchmark
-// applications compiled with the sparse revised simplex + deterministic
-// parallel best-first search must (a) pass every independent audit pass —
-// including the exact-rational weak-duality certificate check over the
-// root duals the sparse backend's BTRAN produces — and (b) land on the
-// same objective as the dense serial path.
+// Audit regression for the solver core: the four benchmark applications
+// compiled with deterministic parallel best-first search must (a) pass every
+// independent audit pass — including the exact-rational weak-duality
+// certificate check over the root duals the engine's BTRAN produces — and
+// (b) prove optimality at the utility recorded for each application (the
+// optimum the removed dense engine also reached).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,31 +20,27 @@ namespace {
 struct BenchApp {
     const char* name;
     std::string source;
+    double utility;  // recorded optimum
 };
 
 std::vector<BenchApp> bench_apps() {
     return {
-        {"netcache", apps::netcache_source()},
-        {"sketchlearn", apps::sketchlearn_source()},
-        {"precision", apps::precision_source()},
-        {"conquest", apps::conquest_source()},
+        {"netcache", apps::netcache_source(), 128512.2},
+        {"sketchlearn", apps::sketchlearn_source(), 109374},
+        {"precision", apps::precision_source(), 109372},
+        {"conquest", apps::conquest_source(), 109374},
     };
 }
 
 compiler::CompileResult compile_sparse(const BenchApp& app, int threads) {
     compiler::CompileOptions options;
     options.backend = compiler::Backend::Ilp;
-    options.solve.lp_backend = ilp::LpBackend::Sparse;
     options.solve.threads = threads;
-    // netcache's honest root bound sits ~28% above the best known integer
-    // solution (the seed's instant "optimal" there was an artifact of a
-    // since-fixed dense-tableau bound error), so proving optimality is not a
-    // test-sized job. A bounded search still must land on the same incumbent
-    // as the dense serial path — that equality is what this test pins.
-    options.solve.time_limit_seconds = 10.0;
     return compiler::compile_source(app.source, options, app.name);
 }
 
+// The test name predates the one-engine solver core: "dense" now means the
+// utilities recorded in bench_apps(), the optima the dense engine reached.
 class SparseBackendAudit : public ::testing::TestWithParam<int> {};
 
 TEST_P(SparseBackendAudit, AuditAcceptsSparseLayoutsAndObjectivesMatchDense) {
@@ -55,22 +51,18 @@ TEST_P(SparseBackendAudit, AuditAcceptsSparseLayoutsAndObjectivesMatchDense) {
 
     // The full audit pipeline — structure, capacity, placement, codegen
     // cross-check, and the certificate-gap pass consuming root_duals /
-    // root_bound_slack exactly as the dense path feeds them.
+    // root_bound_slack.
     const verify::LintResult lint = audit_artifacts(sparse.program, *sparse.artifacts);
     EXPECT_FALSE(lint.has_errors()) << app.name << " (sparse):\n" << lint.render();
 
-    // The sparse backend solved the root to optimality on these apps, so a
-    // dual certificate must actually be present — an empty-duals skip in the
+    // The engine solved the root to optimality on these apps, so a dual
+    // certificate must actually be present — an empty-duals skip in the
     // certificate pass would silently weaken this test.
     ASSERT_TRUE(sparse.artifacts->has_ilp) << app.name;
     EXPECT_FALSE(sparse.artifacts->solution.root_duals.empty()) << app.name;
 
-    // Same optimum as the dense serial engine.
-    compiler::CompileOptions dense_opts;
-    dense_opts.backend = compiler::Backend::Ilp;
-    const compiler::CompileResult dense =
-        compiler::compile_source(app.source, dense_opts, app.name);
-    EXPECT_NEAR(sparse.utility, dense.utility, 1e-6 * (1.0 + std::abs(dense.utility)))
+    EXPECT_TRUE(sparse.artifacts->solution.optimal()) << app.name;
+    EXPECT_NEAR(sparse.utility, app.utility, 1e-6 * (1.0 + std::abs(app.utility)))
         << app.name;
 }
 

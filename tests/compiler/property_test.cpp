@@ -4,10 +4,13 @@
 // rejected with a diagnostic — never a bad layout, never a crash.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "compiler/compiler.hpp"
 #include "compiler/greedy.hpp"
+#include "compiler/ilpgen.hpp"
 #include "analysis/unroll.hpp"
 #include "ir/elaborate.hpp"
 #include "support/error.hpp"
@@ -21,12 +24,17 @@ namespace {
 /// Generates a random but well-formed elastic program: 1–3 sketch-like
 /// structures with random row caps, column minimums, widths, and optional
 /// fold chains, plus random utility weights and sometimes an inelastic
-/// action.
-std::string random_program(support::Xoshiro256& rng) {
+/// action. With `twins`, every structure also updates a twin register of
+/// the same geometry in the same action, and structures of the first
+/// structure's width are tied to its column count by `assume` — the shapes
+/// the ILP generator's equal-size and pigeonhole rows are derived from. The
+/// flag draws nothing from `rng`.
+std::string random_program(support::Xoshiro256& rng, bool twins = false) {
     const int structures = 1 + static_cast<int>(rng.next_below(3));
     std::string decls = "packet { bit<32> key; }\n";
     std::string apply;
     std::string utility;
+    int first_width = 0;
     for (int s = 0; s < structures; ++s) {
         const std::string p = "st" + std::to_string(s);
         const int max_rows = 1 + static_cast<int>(rng.next_below(4));
@@ -41,9 +49,22 @@ std::string random_program(support::Xoshiro256& rng) {
                  "_rows] " + p + "_cnt; bit<32> " + p + "_min; }\n";
         decls += "register<bit<" + std::to_string(width) + ">>[" + p + "_cols][" + p +
                  "_rows] " + p + "_tab;\n";
+        std::string twin_update;
+        if (twins) {
+            decls += "register<bit<" + std::to_string(width) + ">>[" + p + "_cols][" + p +
+                     "_rows] " + p + "_twin;\nmetadata { bit<32>[" + p + "_rows] " + p +
+                     "_tw; }\n";
+            twin_update = "    reg_add(" + p + "_twin[i], meta." + p + "_idx[i], 1, meta." + p +
+                          "_tw[i]);\n";
+            if (s == 0) first_width = width;
+            if (s > 0 && width == first_width) {
+                decls += "assume st0_cols == " + p + "_cols;\n";
+            }
+        }
         decls += "action " + p + "_up()[int i] {\n    hash(meta." + p + "_idx[i], " +
                  std::to_string(s * 16) + " + i, pkt.key, " + p + "_tab[i]);\n    reg_add(" +
-                 p + "_tab[i], meta." + p + "_idx[i], 1, meta." + p + "_cnt[i]);\n}\n";
+                 p + "_tab[i], meta." + p + "_idx[i], 1, meta." + p + "_cnt[i]);\n" +
+                 twin_update + "}\n";
         decls += "control " + p + "_c { apply { for (i < " + p + "_rows) { " + p +
                  "_up()[i]; } } }\n";
         apply += p + "_c.apply();\n";
@@ -129,6 +150,43 @@ TEST_P(RandomPrograms, GreedyNeverBeatsIlp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range(0, 25));
+
+TEST(RandomProgramRows, GreedyWarmStartSatisfiesEveryDerivedRow) {
+    // The equal-size and pigeonhole rows claim validity for every integer
+    // layout; the greedy layout is one, so its warm start must satisfy them.
+    int eqsize = 0;
+    int pigeon = 0;
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        support::Xoshiro256 rng(seed * 4093 + 7);
+        const std::string src = random_program(rng, /*twins=*/true);
+        const target::TargetSpec t = random_target(rng);
+        const ir::Program prog = ir::elaborate_source(src);
+        const auto bounds = analysis::unroll_bounds_all(prog, t);
+        const auto greedy = greedy_place(prog, t, bounds);
+        if (!greedy) continue;
+        const GeneratedIlp gen = generate_ilp(prog, t, bounds);
+        const std::vector<double> values = warm_start_values(prog, gen, greedy->layout);
+        for (const ilp::Constraint& c : gen.model.constraints()) {
+            if (c.name.rfind("eqsize_", 0) == 0) {
+                ++eqsize;
+            } else if (c.name.rfind("pigeon_", 0) == 0) {
+                ++pigeon;
+            } else {
+                continue;
+            }
+            const double lhs = c.expr.evaluate(values);
+            const double tol = 1e-6 * (1.0 + std::abs(c.rhs));
+            if (c.sense == ilp::CmpSense::Eq) {
+                EXPECT_NEAR(lhs, c.rhs, tol) << c.name << "\n" << src;
+            } else {
+                EXPECT_LE(lhs, c.rhs + tol) << c.name << "\n" << src;
+            }
+        }
+    }
+    // The generator does reach both derived families.
+    EXPECT_GT(eqsize, 0);
+    EXPECT_GT(pigeon, 0);
+}
 
 }  // namespace
 }  // namespace p4all::compiler

@@ -93,7 +93,6 @@ TEST(Cuts, HandCheckedGomoryClosesTheClassicGap) {
     m.set_objective(LinExpr().add(x1, 1).add(x2, 1).add(x3, 1));
 
     SolveOptions o;
-    o.lp_backend = LpBackend::Sparse;
     const Solution s = solve_milp(m, o);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, 1.0, 1e-6);
@@ -143,7 +142,6 @@ TEST(Cuts, PooledCutsAreValidByExhaustiveEnumeration) {
         }
 
         SolveOptions o;
-        o.lp_backend = LpBackend::Sparse;
         const Solution s = solve_milp(m, o);
         if (s.cuts.empty()) continue;
         ++models_with_cuts;
@@ -198,7 +196,6 @@ TEST(Cuts, FaultMidSeparationKeepsIncumbentAndCertifiedBound) {
     // whose certificate the audit verifier rejects.
     const Model m = gap_model();
     SolveOptions base_opts;
-    base_opts.lp_backend = LpBackend::Sparse;
     base_opts.threads = 1;  // deterministic fault-hit ordinals
     base_opts.warm_start.assign(static_cast<std::size_t>(m.num_vars()), 0.0);
 
@@ -253,7 +250,6 @@ TEST(Cuts, FaultMidSeparationKeepsIncumbentAndCertifiedBound) {
 TEST(Cuts, ExpiredDeadlineReturnsLimitWithWarmIncumbent) {
     const Model m = gap_model();
     SolveOptions o;
-    o.lp_backend = LpBackend::Sparse;
     o.warm_start.assign(static_cast<std::size_t>(m.num_vars()), 0.0);
     o.deadline = support::Deadline::after_seconds(0.0);
     const Solution s = solve_milp(m, o);
@@ -273,7 +269,6 @@ TEST(Cuts, TailingOffStopsBoundNeutralSeparation) {
     m.add_le(LinExpr().add(x, 1).add(y, 1), 7, "row");
     m.set_objective(LinExpr().add(x, 2).add(y, 1));
     SolveOptions o;
-    o.lp_backend = LpBackend::Sparse;
     const Solution s = solve_milp(m, o);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, 12.0, 1e-6);

@@ -22,7 +22,7 @@ End
     const Model m = parse_lp_format(text);
     EXPECT_EQ(m.num_vars(), 2);
     EXPECT_EQ(m.num_constraints(), 2);
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 12.0, 1e-6);
 }
@@ -37,7 +37,7 @@ Bounds
 End
 )";
     const Model m = parse_lp_format(text);
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     // Internally maximize(-x): optimum at x = 3.
     EXPECT_NEAR(r.values[0], 3.0, 1e-6);

@@ -1,4 +1,4 @@
-#include "ilp/simplex.hpp"
+#include "ilp/revised_simplex.hpp"
 #include "ilp/simplex_textbook.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@ TEST(Simplex, SimpleTwoVarLp) {
     m.add_le(LinExpr().add(x, 1).add(y, 1), 4);
     m.add_le(LinExpr().add(x, 1).add(y, 3), 6);
     m.set_objective(LinExpr().add(x, 3).add(y, 2));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 12.0, 1e-7);
     EXPECT_NEAR(r.values[0], 4.0, 1e-7);
@@ -29,7 +29,7 @@ TEST(Simplex, InteriorOptimum) {
     m.add_le(LinExpr().add(x, 2).add(y, 1), 4);
     m.add_le(LinExpr().add(x, 1).add(y, 2), 4);
     m.set_objective(LinExpr().add(x, 1).add(y, 1));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 8.0 / 3.0, 1e-7);
 }
@@ -43,7 +43,7 @@ TEST(Simplex, GreaterEqualAndEqualityRows) {
     m.add_ge(LinExpr().add(x, 1), 2);
     m.add_ge(LinExpr().add(y, 1), 1);
     m.set_objective(LinExpr().add(x, 1));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.values[0], 4.0, 1e-7);
     EXPECT_NEAR(r.values[1], 1.0, 1e-7);
@@ -56,7 +56,7 @@ TEST(Simplex, RespectsVariableBounds) {
     const Var y = m.add_continuous("y", 0, 3);
     m.add_le(LinExpr().add(x, 1).add(y, 1), 4);
     m.set_objective(LinExpr().add(x, 1).add(y, 1));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 4.0, 1e-7);
     EXPECT_GE(r.values[0], 1.0 - 1e-7);
@@ -70,7 +70,7 @@ TEST(Simplex, NonzeroLowerBoundsShift) {
     m.set_objective(LinExpr().add(x, -1));
     // Need at least one constraint for a meaningful tableau; add slackful one.
     m.add_le(LinExpr().add(x, 1), 100);
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.values[0], 3.0, 1e-7);
 }
@@ -81,7 +81,7 @@ TEST(Simplex, DetectsInfeasible) {
     m.add_ge(LinExpr().add(x, 1), 5);
     m.add_le(LinExpr().add(x, 1), 2);
     m.set_objective(LinExpr().add(x, 1));
-    EXPECT_EQ(solve_lp(m).status, LpStatus::Infeasible);
+    EXPECT_EQ(solve_lp_sparse(m).status, LpStatus::Infeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
@@ -90,7 +90,7 @@ TEST(Simplex, DetectsUnbounded) {
     const Var y = m.add_continuous("y", 0, kInfinity);
     m.add_ge(LinExpr().add(x, 1).add(y, -1), 0);
     m.set_objective(LinExpr().add(x, 1));
-    EXPECT_EQ(solve_lp(m).status, LpStatus::Unbounded);
+    EXPECT_EQ(solve_lp_sparse(m).status, LpStatus::Unbounded);
 }
 
 TEST(Simplex, NegativeRhsNormalization) {
@@ -100,7 +100,7 @@ TEST(Simplex, NegativeRhsNormalization) {
     const Var y = m.add_continuous("y", 0, 10);
     m.add_le(LinExpr().add(x, 1).add(y, -1), -1);
     m.set_objective(LinExpr().add(x, 1));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 9.0, 1e-7);
 }
@@ -112,7 +112,7 @@ TEST(Simplex, BoundOverrides) {
     m.set_objective(LinExpr().add(x, 1));
     std::vector<double> lb{0.0};
     std::vector<double> ub{4.0};
-    const LpResult r = solve_lp(m, &lb, &ub);
+    const LpResult r = solve_lp_sparse(m, &lb, &ub);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 4.0, 1e-7);
 }
@@ -127,7 +127,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
     m.add_le(LinExpr().add(x, 0.5).add(y, -1.5).add(z, -0.5), 0);
     m.add_le(LinExpr().add(x, 1), 1);
     m.set_objective(LinExpr().add(x, 10).add(y, -57).add(z, -9));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 1.0, 1e-6);
 }
@@ -136,7 +136,7 @@ TEST(Simplex, EmptyModelIsTriviallyOptimal) {
     Model m;
     const Var x = m.add_continuous("x", 0, 5);
     m.set_objective(LinExpr().add(x, 2));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 10.0, 1e-7);
 }
@@ -190,7 +190,7 @@ TEST(Simplex, BealeCyclingLpTerminatesWithoutPerturbation) {
     const Model m = beale_model();
     LpOptions opts;
     opts.perturbation = 0.0;
-    const LpResult r = solve_lp(m, nullptr, nullptr, opts);
+    const LpResult r = solve_lp_sparse(m, nullptr, nullptr, opts);
     ASSERT_EQ(r.status, LpStatus::Optimal);
     EXPECT_NEAR(r.objective, 0.05, 1e-9);
 }
@@ -218,9 +218,9 @@ TEST(Simplex, DegeneratePivotRegressionWithoutPerturbation) {
     m.set_objective(LinExpr().add(x, 10).add(y, -57).add(z, -9));
     LpOptions opts;
     opts.perturbation = 0.0;
-    const LpResult dense = solve_lp(m, nullptr, nullptr, opts);
-    ASSERT_EQ(dense.status, LpStatus::Optimal);
-    EXPECT_NEAR(dense.objective, 1.0, 1e-9);
+    const LpResult sparse = solve_lp_sparse(m, nullptr, nullptr, opts);
+    ASSERT_EQ(sparse.status, LpStatus::Optimal);
+    EXPECT_NEAR(sparse.objective, 1.0, 1e-9);
     const LpResult textbook = solve_lp_textbook(m, nullptr, nullptr, opts);
     ASSERT_EQ(textbook.status, LpStatus::Optimal);
     EXPECT_NEAR(textbook.objective, 1.0, 1e-9);
@@ -278,7 +278,7 @@ TEST(Simplex, DualsCertifyOptimumOnInequalityLp) {
     m.add_le(LinExpr().add(x, 1).add(y, 1), 4);
     m.add_le(LinExpr().add(x, 1).add(y, 3), 6);
     m.set_objective(LinExpr().add(x, 3).add(y, 2));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     expect_valid_duals(m, r);
     EXPECT_NEAR(r.duals[0], 3.0, 1e-5);
     EXPECT_NEAR(r.duals[1], 0.0, 1e-5);
@@ -294,13 +294,13 @@ TEST(Simplex, DualsCertifyOptimumWithEqualityAndGeRows) {
     m.add_ge(LinExpr().add(x, 1), 2);
     m.add_ge(LinExpr().add(y, 1), 1);
     m.set_objective(LinExpr().add(x, 1));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     expect_valid_duals(m, r);
     EXPECT_NEAR(r.duals[0], 1.0, 1e-5);
     EXPECT_NEAR(r.duals[2], -1.0, 1e-5);
 }
 
-TEST(Simplex, DualsAgreeBetweenDenseAndTextbookSolvers) {
+TEST(Simplex, DualsAgreeBetweenSparseAndTextbookSolvers) {
     Model m;
     const Var x = m.add_continuous("x", 0, 10);
     const Var y = m.add_continuous("y", 0, 10);
@@ -309,13 +309,13 @@ TEST(Simplex, DualsAgreeBetweenDenseAndTextbookSolvers) {
     m.add_ge(LinExpr().add(x, 1).add(y, -1), -2, "r1");
     m.add_eq(LinExpr().add(y, 1).add(z, 1), 7, "r2");
     m.set_objective(LinExpr().add(x, 2).add(y, 3).add(z, 1));
-    const LpResult dense = solve_lp(m);
+    const LpResult sparse = solve_lp_sparse(m);
     const LpResult textbook = solve_lp_textbook(m);
-    expect_valid_duals(m, dense);
+    expect_valid_duals(m, sparse);
     expect_valid_duals(m, textbook);
-    EXPECT_NEAR(dense.objective, textbook.objective, 1e-6);
-    for (std::size_t i = 0; i < dense.duals.size(); ++i) {
-        EXPECT_NEAR(dense.duals[i], textbook.duals[i], 1e-5) << "row " << i;
+    EXPECT_NEAR(sparse.objective, textbook.objective, 1e-6);
+    for (std::size_t i = 0; i < sparse.duals.size(); ++i) {
+        EXPECT_NEAR(sparse.duals[i], textbook.duals[i], 1e-5) << "row " << i;
     }
 }
 
@@ -327,7 +327,7 @@ TEST(Simplex, DualsCertifyNegatedRowNormalization) {
     const Var y = m.add_continuous("y", 0, 10);
     m.add_le(LinExpr().add(x, 1).add(y, -1), -1);
     m.set_objective(LinExpr().add(x, 1));
-    const LpResult r = solve_lp(m);
+    const LpResult r = solve_lp_sparse(m);
     expect_valid_duals(m, r);
     EXPECT_NEAR(r.objective, 9.0, 1e-7);
 }

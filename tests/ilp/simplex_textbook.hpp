@@ -1,7 +1,7 @@
 // LP oracle for the differential tests: the textbook two-phase tableau
 // simplex with explicit upper-bound rows. Much slower than the production
-// engines in src/ilp; shares none of their code, so an agreement between it,
-// solve_lp and solve_lp_sparse is a check by an independent implementation.
+// engine in src/ilp; shares none of its code, so an agreement between it and
+// solve_lp_sparse is a check by an independent implementation.
 #pragma once
 
 #include <vector>
@@ -11,7 +11,7 @@
 
 namespace p4all::ilp {
 
-/// Same contract as solve_lp (statuses, values, duals, deadline, the
+/// Same contract as solve_lp_sparse (statuses, values, duals, deadline, the
 /// simplex.pivot fault point); ignores warm starts and basis capture.
 [[nodiscard]] LpResult solve_lp_textbook(const Model& model,
                                          const std::vector<double>* lb = nullptr,

@@ -4,7 +4,7 @@
 // never a partially-filled values vector.
 #include <gtest/gtest.h>
 
-#include "ilp/simplex.hpp"
+#include "ilp/revised_simplex.hpp"
 #include "ilp/simplex_textbook.hpp"
 #include "ilp/solver.hpp"
 #include "support/rng.hpp"
@@ -13,15 +13,17 @@ namespace p4all::ilp {
 namespace {
 
 /// Invariant every solver exit must satisfy: values and root_duals are
-/// either empty or exactly full-length, whatever the status.
+/// either empty or exactly full-length (one dual per model row, then one per
+/// pooled cut — the contract on Solution::root_duals), whatever the status.
 void expect_consistent_shape(const Model& m, const Solution& s) {
     EXPECT_TRUE(s.values.empty() ||
                 s.values.size() == static_cast<std::size_t>(m.num_vars()))
         << "values has " << s.values.size() << " entries for " << m.num_vars() << " vars";
     EXPECT_TRUE(s.root_duals.empty() ||
-                s.root_duals.size() == static_cast<std::size_t>(m.num_constraints()))
+                s.root_duals.size() ==
+                    static_cast<std::size_t>(m.num_constraints()) + s.cuts.size())
         << "root_duals has " << s.root_duals.size() << " entries for "
-        << m.num_constraints() << " rows";
+        << m.num_constraints() << " rows and " << s.cuts.size() << " cuts";
     if (s.status == SolveStatus::Optimal) {
         EXPECT_EQ(s.error, support::Errc::None);
         EXPECT_FALSE(s.values.empty());
@@ -135,7 +137,7 @@ TEST(SolveStatusProps, LpHonorsDeadlineInsideTheIterationLoop) {
     const Model m = degenerate_model();
     LpOptions opts;
     opts.deadline = support::Deadline::after_seconds(0.0);
-    for (auto* solver : {&solve_lp, &solve_lp_textbook}) {
+    for (auto* solver : {&solve_lp_sparse, &solve_lp_textbook}) {
         const LpResult r = (*solver)(m, nullptr, nullptr, opts);
         EXPECT_EQ(r.status, LpStatus::IterLimit);
         EXPECT_TRUE(r.deadline_hit);
@@ -148,7 +150,7 @@ TEST(SolveStatusProps, LpReportsCancellationDistinctly) {
     token.request_cancel();
     LpOptions opts;
     opts.deadline = support::Deadline::cancellable(token);
-    const LpResult r = solve_lp(degenerate_model(), nullptr, nullptr, opts);
+    const LpResult r = solve_lp_sparse(degenerate_model(), nullptr, nullptr, opts);
     EXPECT_EQ(r.status, LpStatus::IterLimit);
     EXPECT_TRUE(r.deadline_hit);
     EXPECT_EQ(r.error, support::Errc::Cancelled);

@@ -81,7 +81,9 @@ TEST(Milp, ExhaustiveAgreesOnKnapsack) {
     const Var d = m.add_binary("d");
     m.add_le(LinExpr().add(a, 5).add(b, 4).add(c, 6).add(d, 3), 10);
     m.set_objective(LinExpr().add(a, 10).add(b, 40).add(c, 30).add(d, 50));
-    const Solution bb = solve_milp(m);
+    SolveOptions exact;
+    exact.gap_relative = 1e-6;  // compared against enumeration to 1e-6
+    const Solution bb = solve_milp(m, exact);
     const Solution ex = solve_exhaustive(m);
     ASSERT_TRUE(bb.optimal());
     ASSERT_TRUE(ex.optimal());
@@ -125,7 +127,9 @@ TEST_P(RandomMilp, BranchAndBoundMatchesExhaustive) {
     m.set_objective(obj);
 
     const Solution ex = solve_exhaustive(m);
-    const Solution bb = solve_milp(m);
+    SolveOptions exact;
+    exact.gap_relative = 1e-6;  // compared against enumeration, not the 1e-4 default
+    const Solution bb = solve_milp(m, exact);
     ASSERT_NE(bb.status, SolveStatus::Limit) << m.to_lp_format();
     EXPECT_EQ(bb.optimal(), ex.optimal()) << m.to_lp_format();
     if (bb.optimal() && ex.optimal()) {
