@@ -66,7 +66,7 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
     bench::InstanceReport rep;
     rep.name = name;
     rep.kind = "sim";
-    rep.vars = static_cast<std::int64_t>(r.artifacts ? r.artifacts->proofs.size() : 0);
+    rep.vars = static_cast<std::int64_t>(r.artifacts->proofs.size());
     rep.rows = packets;
 
     const std::vector<sim::Packet> trace = make_trace(r.program, packets);

@@ -124,9 +124,6 @@ int main(int argc, char** argv) {
         for (const std::string& input : inputs) {
             const p4all::compiler::CompileResult result = p4all::compiler::compile_source(
                 read_file(input), compile_options, program_name(input));
-            if (!result.artifacts) {
-                throw p4all::support::CompileError("compiler emitted no auditable artifacts");
-            }
 
             p4all::audit::ArtifactsPayload payload;
             payload.artifacts = result.artifacts.get();

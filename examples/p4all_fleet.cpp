@@ -25,13 +25,16 @@
 //     --recover            bring the fleet up via FleetController::recover
 //     --faults SPEC        arm fault injection (fleet.heartbeat, fleet.swap,
 //                          fleet.route, plus every runtime.* point)
-//     --ilp                exact ILP backend (default: greedy)
+//     --ilp                compile tenants on the exact ILP portfolio
+//                          (default: the greedy fallback rung only)
 //     --expect-served N    exit 1 unless >= N tenants are serving at the end
 //
 //   The final lines print one state digest per served tenant (a replay with
-//   the same seed and schedule must print identical digests), the routing
-//   totals, and how many tenant epochs came from the controller's epoch
-//   cache versus the compiler.
+//   the same seed and schedule must print identical digests), one
+//   `rung <tenant> <rung>` line naming the portfolio rung that compiled each
+//   served tenant's epoch (ilp-sparse, greedy, ...), the routing totals,
+//   and how many tenant epochs came from the controller's epoch cache
+//   versus the compiler.
 //
 //   Exit codes: 0 ok, 1 a demand was not met, 2 usage/fatal error.
 #include <cstdio>
@@ -112,7 +115,6 @@ int main(int argc, char** argv) {
     bool recover = false;
     std::vector<Action> schedule;
     fleet::FleetOptions options;
-    options.runtime.compile.backend = compiler::Backend::Greedy;
     options.runtime.exact_portfolio = false;
     options.runtime.drift.window = 256;
     options.runtime.drift.top_k = 16;
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
             else if (args.is("--journal")) options.journal_root = args.value();
             else if (args.is("--recover")) recover = true;
             else if (args.is("--faults")) support::FaultRegistry::instance().configure(args.value());
-            else if (args.is("--ilp")) options.runtime.compile.backend = compiler::Backend::Ilp;
+            else if (args.is("--ilp")) options.runtime.exact_portfolio = true;
             else if (args.is("--expect-served")) expect_served = args.uint_value();
             else args.unknown();
         }
@@ -211,6 +213,8 @@ int main(int argc, char** argv) {
             ++served;
             std::printf("p4all-fleet: digest %s %016llx\n", name.c_str(),
                         static_cast<unsigned long long>(fc->digest(name)));
+            std::printf("p4all-fleet: rung %s %s\n", name.c_str(),
+                        fc->runtime_of(name)->compiled().resilience.final_backend.c_str());
         }
         std::printf("p4all-fleet: done — %llu routed, %llu dropped, %llu route retries, "
                     "%zu/%zu tenants serving\n",

@@ -30,15 +30,19 @@
 //     --faults SPEC        arm fault injection (P4ALL_FAULTS syntax, e.g.
 //                          runtime.swap:after=1 or
 //                          runtime.journal.commit:after=1:crash)
-//     --ilp                use the exact ILP backend (default: greedy)
-//     --fast               skip the exact ILP portfolio rungs on
-//                          reconfigurations (chaos/CI speed)
+//     --ilp                compile every epoch on the exact ILP portfolio
+//                          (the default)
+//     --fast               compile every epoch, the first included, on the
+//                          greedy fallback rung: no exact ILP rungs
+//                          (chaos/CI speed)
 //     --opt-level <0|1>    IR optimizer level for every (re)compile
 //                          (default 1)
 //
-//   The final line prints a state digest (the snapshot checksum of the
-//   serving registers); replaying the same trace twice must print the same
-//   digest — the determinism contract CI asserts.
+//   The `epoch N serving` line names the portfolio rung that compiled the
+//   serving epoch (ilp-sparse, greedy, ...). The final line prints a state
+//   digest (the snapshot checksum of the serving registers); replaying the
+//   same trace twice must print the same digest — the determinism contract
+//   CI asserts.
 //
 //   Exit codes: 0 run completed with the demanded swaps/rollbacks, 1 the
 //   demands were not met or serving state was damaged, 2 usage/fatal error.
@@ -88,7 +92,6 @@ int main(int argc, char** argv) {
     std::string workload_name = "zipf";
     std::string record_path, replay_path;
     runtime::RuntimeOptions options;
-    options.compile.backend = compiler::Backend::Greedy;
     options.drift.window = 1024;
     options.drift.top_k = 32;
     options.drift.min_hit_samples = 256;
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
             else if (args.is("--record-trace")) record_path = args.value();
             else if (args.is("--replay-trace")) replay_path = args.value();
             else if (args.is("--faults")) support::FaultRegistry::instance().configure(args.value());
-            else if (args.is("--ilp")) options.compile.backend = compiler::Backend::Ilp;
+            else if (args.is("--ilp")) options.exact_portfolio = true;
             else if (args.is("--fast")) options.exact_portfolio = false;
             else if (args.is("--opt-level"))
                 options.compile.opt_level = static_cast<int>(args.uint_value(0, 1));
@@ -150,8 +153,9 @@ int main(int argc, char** argv) {
             rt = std::make_unique<runtime::ElasticRuntime>(driver.name, driver.source, options,
                                                            driver.profile);
         }
-        std::printf("p4all-run: epoch %llu serving (utility %.1f)\n",
-                    static_cast<unsigned long long>(rt->epoch()), rt->compiled().utility);
+        std::printf("p4all-run: epoch %llu serving (utility %.1f) %s\n",
+                    static_cast<unsigned long long>(rt->epoch()), rt->compiled().utility,
+                    rt->compiled().resilience.final_backend.c_str());
         // A recovered runtime starts at its journaled epoch; fresh commits
         // made by this run stack on top of it.
         const std::uint64_t epoch_base = rt->epoch();

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
 
         std::printf("%s: compiled for '%s' in %.3f s (utility %.2f)\n", input.c_str(),
                     options.target.name.c_str(), result.stats.total_seconds, result.utility);
-        if (!quiet && result.artifacts && result.artifacts->optimized) {
+        if (!quiet && result.artifacts->optimized) {
             std::printf("optimizer: %zu rewrite%s applied at -O%d\n",
                         result.artifacts->rewrites.size(),
                         result.artifacts->rewrites.size() == 1 ? "" : "s",
@@ -193,10 +193,6 @@ int main(int argc, char** argv) {
             }
         }
         if (run_audit) {
-            if (!result.artifacts) {
-                std::fprintf(stderr, "p4allc: --audit requires artifact emission\n");
-                return 1;
-            }
             const p4all::verify::LintResult audit =
                 p4all::audit::audit_artifacts(result.program, *result.artifacts);
             std::fputs(audit.render().c_str(), stdout);
@@ -211,7 +207,7 @@ int main(int argc, char** argv) {
             // A search that stopped early (deadline, node cap, numerical
             // trouble) still ships its incumbent; say that it is unproven.
             std::string proof;
-            if (result.artifacts && result.artifacts->has_ilp) {
+            if (result.artifacts->has_ilp) {
                 const p4all::ilp::Solution& sol = result.artifacts->solution;
                 proof = sol.optimal() ? ", optimal"
                                       : std::string(", unproven (") +

@@ -5,6 +5,8 @@
 
 namespace p4all::audit {
 
+using support::Rat;
+
 namespace {
 
 std::size_t idx(int j) { return static_cast<std::size_t>(j); }

@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "audit/rational.hpp"
 #include "ilp/model.hpp"
+#include "support/rational.hpp"
 
 namespace p4all::audit {
 
@@ -70,11 +70,12 @@ struct CertificateReport {
 
 /// Exact Σ coeff·x + constant of `expr` under rational `values` (indexed by
 /// variable id; ids past the end read as zero).
-[[nodiscard]] Rat evaluate_exact(const ilp::LinExpr& expr, const std::vector<Rat>& values);
+[[nodiscard]] support::Rat evaluate_exact(const ilp::LinExpr& expr,
+                                          const std::vector<support::Rat>& values);
 
 /// Converts a solver assignment to rationals, exactly (doubles are dyadic;
 /// no rounding is introduced on the incumbent side).
-[[nodiscard]] std::vector<Rat> exact_values(const ilp::Model& model,
+[[nodiscard]] std::vector<support::Rat> exact_values(const ilp::Model& model,
                                             const std::vector<double>& values);
 
 /// Full check: incumbent feasibility/integrality/objective plus — when

@@ -27,15 +27,12 @@ CompileResult compile(const lang::Program& ast, const CompileOptions& options,
                       const std::string& name) {
     const auto t_start = Clock::now();
     CompileResult result;
-    std::shared_ptr<CompileArtifacts> artifacts;
-    if (options.emit_artifacts) {
-        artifacts = std::make_shared<CompileArtifacts>();
-        artifacts->name = name;
-        artifacts->backend = options.backend == Backend::Greedy       ? "greedy"
-                             : options.backend == Backend::Exhaustive ? "exhaustive"
-                                                                      : "ilp";
-        artifacts->target = options.target;
-    }
+    auto artifacts = std::make_shared<CompileArtifacts>();
+    artifacts->name = name;
+    artifacts->backend = options.backend == Backend::Greedy       ? "greedy"
+                         : options.backend == Backend::Exhaustive ? "exhaustive"
+                                                                  : "ilp";
+    artifacts->target = options.target;
 
     auto t0 = Clock::now();
     ir::ElaborateOptions elab_opts;
@@ -46,12 +43,10 @@ CompileResult compile(const lang::Program& ast, const CompileOptions& options,
     if (options.opt_level >= 1) {
         t0 = Clock::now();
         opt::OptResult optres = opt::optimize(result.program);
-        if (artifacts) {
-            artifacts->optimized = true;
-            artifacts->opt_level = options.opt_level;
-            artifacts->pre_opt_program = std::move(result.program);
-            artifacts->rewrites = optres.rewrites;
-        }
+        artifacts->optimized = true;
+        artifacts->opt_level = options.opt_level;
+        artifacts->pre_opt_program = std::move(result.program);
+        artifacts->rewrites = optres.rewrites;
         result.program = std::move(optres.program);
         result.stats.opt_seconds = since(t0);
     }
@@ -128,40 +123,33 @@ CompileResult compile(const lang::Program& ast, const CompileOptions& options,
         }
         result.layout = extract_layout(result.program, options.target, gen, solution);
         result.utility = solution.objective;
-        if (artifacts) {
-            artifacts->has_ilp = true;
-            artifacts->solution = solution;
-            artifacts->solve_options = solve_opts;
-            artifacts->ilp = std::move(gen);
-        }
+        artifacts->has_ilp = true;
+        artifacts->solution = solution;
+        artifacts->solve_options = solve_opts;
+        artifacts->ilp = std::move(gen);
     }
 
-    if (options.audit) {
-        const std::vector<std::string> violations =
-            audit_layout(result.program, options.target, result.layout);
-        if (!violations.empty()) {
-            std::string msg = "internal error: compiled layout fails audit:";
-            for (const std::string& v : violations) msg += "\n  " + v;
-            throw support::Error(support::Errc::AuditRejected, msg);
-        }
+    const std::vector<std::string> violations =
+        audit_layout(result.program, options.target, result.layout);
+    if (!violations.empty()) {
+        std::string msg = "internal error: compiled layout fails audit:";
+        for (const std::string& v : violations) msg += "\n  " + v;
+        throw support::Error(support::Errc::AuditRejected, msg);
     }
 
-    if (artifacts) {
-        // Fault point: simulates artifact-packaging failure (e.g. an I/O or
-        // serialization error) after a successful solve.
-        if (support::fault_fires("artifacts.emit")) {
-            throw support::Error(support::Errc::FaultInjected,
-                                 "injected fault: artifacts.emit for '" + name + "'");
-        }
-        artifacts->layout = result.layout;
-        artifacts->claimed_utility = result.utility;
-        artifacts->claimed_usage = compute_usage(result.program, options.target, result.layout);
-        artifacts->proofs =
-            verify::prove_register_bounds(result.program,
-                                          dataplane_view(result.program, result.layout))
-                .facts;
-        result.artifacts = std::move(artifacts);
+    // Fault point: simulates artifact-packaging failure (e.g. an I/O or
+    // serialization error) after a successful solve.
+    if (support::fault_fires("artifacts.emit")) {
+        throw support::Error(support::Errc::FaultInjected,
+                             "injected fault: artifacts.emit for '" + name + "'");
     }
+    artifacts->layout = result.layout;
+    artifacts->claimed_utility = result.utility;
+    artifacts->claimed_usage = compute_usage(result.program, options.target, result.layout);
+    artifacts->proofs =
+        verify::prove_register_bounds(result.program, dataplane_view(result.program, result.layout))
+            .facts;
+    result.artifacts = std::move(artifacts);
 
     result.p4_source = generate_p4(result.program, result.layout, options.deadline);
     result.stats.total_seconds = since(t_start);

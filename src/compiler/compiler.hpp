@@ -43,13 +43,6 @@ struct CompileOptions {
     /// Combination cap for Backend::Exhaustive; larger domains yield a
     /// structured DomainTooLarge failure (the portfolio driver's cue to skip).
     std::int64_t exhaustive_max_combinations = 4096;
-    /// Post-solve audit of the layout against every constraint; failures
-    /// throw (they would indicate a compiler bug, not a user error).
-    bool audit = true;
-    /// Record CompileArtifacts in the result for the independent audit layer
-    /// (src/audit/). Cheap relative to solving; on by default so `--audit`
-    /// and the p4all-audit CLI always have a certificate to check.
-    bool emit_artifacts = true;
     /// IR optimization level: 0 compiles the elaborated IR as-is, 1 (the
     /// default) runs the certificate-carrying optimizer (src/opt/) between
     /// elaboration and layout generation. The certificate chain rides in
@@ -77,9 +70,10 @@ struct CompileResult {
     double utility = 0.0;    // achieved value of the optimize expression
     std::string p4_source;   // generated concrete P4
     CompileStats stats;
-    /// The compiler's auditable claims (model, incumbent, certificate, usage);
-    /// null when CompileOptions::emit_artifacts is off. Shared so callers can
-    /// keep it alive past the result (the audit passes borrow it).
+    /// The compiler's auditable claims (model, incumbent, certificate, usage)
+    /// for the independent audit layer (src/audit/); every compile records
+    /// them. Shared so callers can keep it alive past the result (the audit
+    /// passes borrow it).
     std::shared_ptr<const CompileArtifacts> artifacts;
     /// Fallback-portfolio account; empty unless compile_resilient produced
     /// this result (compiler/resilient.hpp).
@@ -88,7 +82,9 @@ struct CompileResult {
 
 /// Compiles a parsed P4All program. Throws support::CompileError when the
 /// program is malformed or cannot fit the target at any size satisfying its
-/// assume constraints.
+/// assume constraints. Every layout is checked against every constraint
+/// (audit_layout) before it ships; a violation throws Errc::AuditRejected
+/// (a compiler bug, not a user error).
 [[nodiscard]] CompileResult compile(const lang::Program& ast, const CompileOptions& options = {},
                                     const std::string& name = "program");
 

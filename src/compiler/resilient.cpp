@@ -75,9 +75,9 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
             a.seconds = since(t0);
             a.nodes = r.stats.bb_nodes;
             a.lp_iterations = r.stats.lp_iterations;
-            a.anytime = r.artifacts && r.artifacts->has_ilp &&
+            a.anytime = r.artifacts->has_ilp &&
                         r.artifacts->solution.status != ilp::SolveStatus::Optimal;
-            if (res.external_gate && r.artifacts) {
+            if (res.external_gate) {
                 const std::string rejection = res.external_gate(r.program, *r.artifacts);
                 if (!rejection.empty()) {
                     a.outcome = AttemptOutcome::AuditRejected;
@@ -121,12 +121,10 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
         report.attempts.push_back(std::move(a));
     };
 
-    // Every attempt emits artifacts (the gate needs them) and shares the
-    // hard pipeline stop so greedy search and codegen stay bounded too. Every
-    // ILP rung relaxes its nodes on all cores; the search is bit-identical at
-    // any thread count.
+    // Every attempt shares the hard pipeline stop so greedy search and
+    // codegen stay bounded too. Every ILP rung relaxes its nodes on all
+    // cores; the search is bit-identical at any thread count.
     CompileOptions common = base;
-    common.emit_artifacts = true;
     common.deadline = hard;
     common.solve.threads = 0;
 
@@ -250,13 +248,11 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
     }
 
     out.resilience = report;
-    if (out.artifacts) {
-        // Mirror the portfolio record into the (shared, immutable) artifacts
-        // so audits and serialized reports carry the provenance too.
-        auto arts = std::make_shared<CompileArtifacts>(*out.artifacts);
-        arts->resilience = std::move(report);
-        out.artifacts = std::move(arts);
-    }
+    // Mirror the portfolio record into the (shared, immutable) artifacts so
+    // audits and serialized reports carry the provenance too.
+    auto arts = std::make_shared<CompileArtifacts>(*out.artifacts);
+    arts->resilience = std::move(report);
+    out.artifacts = std::move(arts);
     return out;
 }
 

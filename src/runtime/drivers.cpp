@@ -20,7 +20,7 @@ constexpr std::uint64_t kPromoteThreshold = 16;
 /// Smallest power of two >= `v`, clamped to [lo, hi]. Keeping every pinned
 /// size on the power-of-two lattice makes consecutive epochs mutually
 /// divisible, so counter/Bloom migrations stay on the exact replicate-up /
-/// fold-sum paths (migrate.hpp) and the invariant gate accepts the swap.
+/// fold-sum paths (migrate_static.hpp) and the plan gate accepts the swap.
 std::int64_t pow2_clamp(std::size_t v, std::int64_t lo, std::int64_t hi) {
     std::int64_t p = lo;
     while (p < hi && p < static_cast<std::int64_t>(v)) p <<= 1;

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "runtime/migrate_static.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
 #include "support/hash.hpp"
@@ -26,8 +27,6 @@ struct RegTraits {
     bool has_read = false;
     bool has_minmax = false;
 };
-
-using Classification = RegisterClassification;
 
 std::map<ir::RegisterId, RegTraits> collect_traits(const ir::Program& prog) {
     std::map<ir::RegisterId, RegTraits> traits;
@@ -73,48 +72,6 @@ std::set<ir::MetaFieldId> key_match_fields(const ir::Program& prog) {
     return fields;
 }
 
-Classification classify(const ir::Program& prog) {
-    const std::map<ir::RegisterId, RegTraits> traits = collect_traits(prog);
-    const std::set<ir::MetaFieldId> match_fields = key_match_fields(prog);
-
-    Classification cls;
-    // Key registers: read into a meta field that some guard compares against
-    // the packet key. (Bloom rows are 1-bit and read into a field compared
-    // against a literal, so they never qualify.)
-    for (const auto& [reg, t] : traits) {
-        if (!t.has_read || prog.reg(reg).width <= 1) continue;
-        const bool is_key = std::any_of(t.read_dsts.begin(), t.read_dsts.end(),
-                                        [&](ir::MetaFieldId f) { return match_fields.count(f); });
-        if (!is_key) continue;
-        std::vector<ir::RegisterId> companions;
-        ir::RegisterId counts = ir::kNoId;
-        for (const auto& [other, ot] : traits) {
-            if (other == reg) continue;
-            const bool shares_index =
-                std::any_of(ot.index_fields.begin(), ot.index_fields.end(),
-                            [&](ir::MetaFieldId f) { return t.index_fields.count(f); });
-            if (!shares_index) continue;
-            companions.push_back(other);
-            if (ot.has_add) counts = other;
-        }
-        cls.groups[reg] = companions;
-        cls.count_companion[reg] = counts;
-        cls.grouped.insert(reg);
-        for (const ir::RegisterId c : companions) cls.grouped.insert(c);
-        const ModuleKind kind =
-            counts != ir::kNoId ? ModuleKind::HeavyHitter : ModuleKind::Cache;
-        cls.kind[reg] = kind;
-        for (const ir::RegisterId c : companions) cls.kind[c] = kind;
-    }
-    for (const auto& [reg, t] : traits) {
-        if (cls.kind.count(reg)) continue;
-        if (prog.reg(reg).width == 1) cls.kind[reg] = ModuleKind::Bloom;
-        else if (t.has_add || t.has_minmax) cls.kind[reg] = ModuleKind::Counter;
-        else cls.kind[reg] = ModuleKind::Opaque;
-    }
-    return cls;
-}
-
 /// Per-instance hash seed of every register used as a hash modulus with a
 /// single source word (the probe pattern `hash(idx, seed+i, key, reg[i])`).
 ///
@@ -124,8 +81,7 @@ Classification classify(const ir::Program& prog) {
 /// hash writing field `idx` with a literal modulus equal to the placed
 /// extent still seeds any register op indexed by that same `idx` element.
 std::map<ir::RegisterId, std::map<std::int64_t, std::uint64_t>> collect_seeds(
-    const ir::Program& prog,
-    const std::map<std::pair<ir::RegisterId, std::int64_t>, std::int64_t>& placed) {
+    const ir::Program& prog, const NewRowSizes& placed) {
     std::map<ir::RegisterId, std::map<std::int64_t, std::uint64_t>> seeds;
     // (index field, element) -> (seed, literal modulus) from folded hashes.
     std::map<std::pair<ir::MetaFieldId, std::int64_t>, std::pair<std::uint64_t, std::int64_t>>
@@ -179,6 +135,171 @@ void check_migrate_fault(const std::string& what) {
     }
 }
 
+/// Old register state by (register name, instance).
+using OldRowData = std::map<std::pair<std::string, std::int64_t>, std::vector<std::uint64_t>>;
+using SeedsByWay = std::map<std::int64_t, std::uint64_t>;
+
+/// The cells a per-row policy makes of `old` in a row of `new_elems`.
+std::vector<std::uint64_t> transform_row(MigrationPolicy policy,
+                                         const std::vector<std::uint64_t>& old,
+                                         std::int64_t new_elems) {
+    std::vector<std::uint64_t> data(static_cast<std::size_t>(new_elems), 0);
+    switch (policy) {
+        case MigrationPolicy::Copy:
+        case MigrationPolicy::CopyPrefix:
+            std::copy(old.begin(), old.end(), data.begin());
+            break;
+        case MigrationPolicy::ReplicateUp:
+            for (std::size_t j = 0; j < data.size(); ++j) data[j] = old[j % old.size()];
+            break;
+        case MigrationPolicy::FoldSum:
+            for (std::size_t i = 0; i < old.size(); ++i) data[i % data.size()] += old[i];
+            break;
+        case MigrationPolicy::FoldOr:
+            for (std::size_t i = 0; i < old.size(); ++i) data[i % data.size()] |= old[i];
+            break;
+        case MigrationPolicy::Zero:
+        case MigrationPolicy::Fresh:
+        case MigrationPolicy::Rehash:
+            break;
+    }
+    return data;
+}
+
+struct RehashCount {
+    std::int64_t moved = 0;
+    std::int64_t dropped = 0;
+};
+
+/// Re-inserts every stored entry of the key-table group `key_reg` at its
+/// key's hash slot in the group's destination rows (the plan's rehash
+/// verdicts for the group) and commits those rows to `to`.
+RehashCount rehash_group(const ir::Program& tp, const RegisterClassification& cls,
+                         ir::RegisterId key_reg, const std::vector<StaticRowVerdict>& plan,
+                         const OldRowData& old_rows, const SeedsByWay& way_seeds,
+                         sim::Pipeline& to) {
+    const std::string& key_name = tp.reg(key_reg).name;
+    const std::vector<ir::RegisterId>& companions = cls.groups.at(key_reg);
+    const ir::RegisterId count_reg = cls.count_companion.at(key_reg);
+    const bool heavy_hitter = cls.kind.at(key_reg) == ModuleKind::HeavyHitter;
+
+    // Destination arrays, zero-initialized; the key register's rows are the
+    // candidate ways.
+    struct Way {
+        std::int64_t instance = 0;
+        std::int64_t elems = 0;
+    };
+    std::map<std::pair<ir::RegisterId, std::int64_t>, std::vector<std::uint64_t>> dest;
+    std::vector<Way> ways;
+    for (const StaticRowVerdict& v : plan) {
+        if (v.action != MigrationPolicy::Rehash || v.group != key_reg) continue;
+        const ir::RegisterId r = tp.find_register(v.reg);
+        dest[{r, v.instance}].assign(static_cast<std::size_t>(v.new_elems), 0);
+        if (r == key_reg) ways.push_back({v.instance, v.new_elems});
+    }
+
+    // Collect old entries (key + companion values), deterministic order.
+    struct Entry {
+        std::uint64_t key = 0;
+        std::int64_t src_way = 0;
+        std::map<ir::RegisterId, std::uint64_t> values;
+    };
+    std::vector<Entry> entries;
+    for (const auto& [nameinst, data] : old_rows) {
+        if (nameinst.first != key_name) continue;
+        const std::int64_t way = nameinst.second;
+        for (std::size_t s = 0; s < data.size(); ++s) {
+            if (data[s] == 0) continue;
+            Entry e;
+            e.key = data[s];
+            e.src_way = way;
+            for (const ir::RegisterId c : companions) {
+                const auto comp = old_rows.find({tp.reg(c).name, way});
+                e.values[c] =
+                    comp != old_rows.end() && s < comp->second.size() ? comp->second[s] : 0;
+            }
+            entries.push_back(std::move(e));
+        }
+    }
+
+    RehashCount n;
+    const auto count_of = [&](const Entry& e) {
+        return count_reg == ir::kNoId ? 0 : static_cast<std::int64_t>(e.values.at(count_reg));
+    };
+    for (const Entry& e : entries) {
+        // Candidate ways: the entry's old way first, then the rest.
+        std::vector<const Way*> candidates;
+        for (const Way& w : ways) {
+            if (w.instance == e.src_way) candidates.insert(candidates.begin(), &w);
+            else candidates.push_back(&w);
+        }
+        bool placed_entry = false;
+        const Way* weakest_way = nullptr;
+        std::size_t weakest_idx = 0;
+        std::int64_t weakest_count = 0;
+        for (const Way* w : candidates) {
+            const std::int64_t instance = w->instance;
+            const auto seed_it = way_seeds.find(instance);
+            if (seed_it == way_seeds.end()) continue;  // way not rehashable
+            // Matches the simulator's Hash lowering for single-source
+            // probes: hash_words({key}, seed) % elems.
+            const std::size_t idx = static_cast<std::size_t>(
+                support::hash_word(e.key, seed_it->second) % static_cast<std::uint64_t>(w->elems));
+            std::vector<std::uint64_t>& keys = dest.at({key_reg, instance});
+            if (keys[idx] == 0) {
+                keys[idx] = e.key;
+                for (const auto& [c, v] : e.values) {
+                    const auto d = dest.find({c, instance});
+                    if (d != dest.end() && idx < d->second.size()) d->second[idx] = v;
+                }
+                ++n.moved;
+                placed_entry = true;
+                break;
+            }
+            if (keys[idx] == e.key) {  // duplicate of an already-moved entry
+                if (count_reg != ir::kNoId) {
+                    auto& cnts = dest.at({count_reg, instance});
+                    if (idx < cnts.size()) {
+                        cnts[idx] += e.values.count(count_reg) ? e.values.at(count_reg) : 0;
+                    }
+                }
+                ++n.moved;
+                placed_entry = true;
+                break;
+            }
+            // Occupied by another key: remember the weakest incumbent for
+            // heavy-hitter displacement.
+            if (count_reg != ir::kNoId) {
+                const auto& cnts = dest.at({count_reg, instance});
+                const std::int64_t incumbent =
+                    idx < cnts.size() ? static_cast<std::int64_t>(cnts[idx]) : 0;
+                if (weakest_way == nullptr || incumbent < weakest_count) {
+                    weakest_way = w;
+                    weakest_idx = idx;
+                    weakest_count = incumbent;
+                }
+            }
+        }
+        if (placed_entry) continue;
+        if (heavy_hitter && weakest_way != nullptr && count_of(e) > weakest_count) {
+            // Displace the weakest incumbent (Precision keeps the heavier
+            // flow); the displaced entry is lost.
+            dest.at({key_reg, weakest_way->instance})[weakest_idx] = e.key;
+            for (const auto& [c, v] : e.values) {
+                const auto d = dest.find({c, weakest_way->instance});
+                if (d != dest.end() && weakest_idx < d->second.size()) d->second[weakest_idx] = v;
+            }
+            ++n.moved;
+            ++n.dropped;  // the displaced incumbent
+        } else {
+            ++n.dropped;  // cache collision / no slot: incoming entry is lost
+        }
+    }
+
+    for (const auto& [reginst, data] : dest) to.reg_row_assign(reginst.first, reginst.second, data);
+    return n;
+}
+
 }  // namespace
 
 const char* module_kind_name(ModuleKind kind) noexcept {
@@ -192,13 +313,45 @@ const char* module_kind_name(ModuleKind kind) noexcept {
     return "?";
 }
 
-ModuleKind classify_register(const ir::Program& prog, ir::RegisterId reg) {
-    const Classification cls = classify(prog);
-    const auto it = cls.kind.find(reg);
-    return it == cls.kind.end() ? ModuleKind::Opaque : it->second;
-}
+RegisterClassification classify_registers(const ir::Program& prog) {
+    const std::map<ir::RegisterId, RegTraits> traits = collect_traits(prog);
+    const std::set<ir::MetaFieldId> match_fields = key_match_fields(prog);
 
-RegisterClassification classify_registers(const ir::Program& prog) { return classify(prog); }
+    RegisterClassification cls;
+    // Key registers: read into a meta field that some guard compares against
+    // the packet key. (Bloom rows are 1-bit and read into a field compared
+    // against a literal, so they never qualify.)
+    for (const auto& [reg, t] : traits) {
+        if (!t.has_read || prog.reg(reg).width <= 1) continue;
+        const bool is_key = std::any_of(t.read_dsts.begin(), t.read_dsts.end(),
+                                        [&](ir::MetaFieldId f) { return match_fields.count(f); });
+        if (!is_key) continue;
+        std::vector<ir::RegisterId> companions;
+        ir::RegisterId counts = ir::kNoId;
+        for (const auto& [other, ot] : traits) {
+            if (other == reg) continue;
+            const bool shares_index =
+                std::any_of(ot.index_fields.begin(), ot.index_fields.end(),
+                            [&](ir::MetaFieldId f) { return t.index_fields.count(f); });
+            if (!shares_index) continue;
+            companions.push_back(other);
+            if (ot.has_add) counts = other;
+        }
+        cls.groups[reg] = companions;
+        cls.count_companion[reg] = counts;
+        const ModuleKind kind =
+            counts != ir::kNoId ? ModuleKind::HeavyHitter : ModuleKind::Cache;
+        cls.kind[reg] = kind;
+        for (const ir::RegisterId c : companions) cls.kind[c] = kind;
+    }
+    for (const auto& [reg, t] : traits) {
+        if (cls.kind.count(reg)) continue;
+        if (prog.reg(reg).width == 1) cls.kind[reg] = ModuleKind::Bloom;
+        else if (t.has_add || t.has_minmax) cls.kind[reg] = ModuleKind::Counter;
+        else cls.kind[reg] = ModuleKind::Opaque;
+    }
+    return cls;
+}
 
 bool MigrationReport::exact() const noexcept {
     return std::all_of(rows.begin(), rows.end(), [](const RowMigration& r) { return r.exact; });
@@ -239,254 +392,57 @@ MigrationReport migrate_state(const sim::Pipeline& from, sim::Pipeline& to) {
                                               fp.name + "' into program '" + tp.name + "'");
     }
 
-    // Old state by (register name, instance).
-    std::map<std::pair<std::string, std::int64_t>, std::vector<std::uint64_t>> old_rows;
+    OldRowData old_rows;
+    OldRowSizes old_sizes;
     for (const sim::RegRowInfo& info : from.reg_rows()) {
         const auto data = from.reg_row_data(info.reg, info.instance);
-        old_rows[{fp.reg(info.reg).name, info.instance}].assign(data.begin(), data.end());
+        const std::pair<std::string, std::int64_t> row{fp.reg(info.reg).name, info.instance};
+        old_rows[row].assign(data.begin(), data.end());
+        old_sizes[row] = static_cast<std::int64_t>(data.size());
     }
-    const auto old_row = [&](const std::string& name,
-                             std::int64_t inst) -> const std::vector<std::uint64_t>* {
-        const auto it = old_rows.find({name, inst});
-        return it == old_rows.end() ? nullptr : &it->second;
-    };
-
-    const std::vector<sim::RegRowInfo> to_rows = to.reg_rows();
-    std::set<std::pair<ir::RegisterId, std::int64_t>> placed;
-    std::map<std::pair<ir::RegisterId, std::int64_t>, std::int64_t> placed_elems;
-    std::map<ir::RegisterId, std::vector<sim::RegRowInfo>> to_by_reg;
-    for (const sim::RegRowInfo& info : to_rows) {
-        placed.insert({info.reg, info.instance});
-        placed_elems[{info.reg, info.instance}] = info.elems;
-        to_by_reg[info.reg].push_back(info);
+    NewRowSizes new_sizes;
+    for (const sim::RegRowInfo& info : to.reg_rows()) {
+        new_sizes[{info.reg, info.instance}] = info.elems;
     }
 
-    const Classification cls = classify(tp);
-    const auto seeds = collect_seeds(tp, placed_elems);
+    const RegisterClassification cls = classify_registers(tp);
+    const StaticMigrationPlan plan = plan_rows(tp, cls, old_sizes, new_sizes);
+    const auto seeds = collect_seeds(tp, new_sizes);
 
     MigrationReport report;
-    std::set<std::pair<ir::RegisterId, std::int64_t>> handled;
-
-    // --- key-table groups: rehash every stored entry into the new geometry.
-    for (const auto& [key_reg, companions] : cls.groups) {
-        const auto ways_it = to_by_reg.find(key_reg);
-        if (ways_it == to_by_reg.end()) continue;  // group absent from layout
-        const std::vector<sim::RegRowInfo>& ways = ways_it->second;
-        const std::string key_name = tp.reg(key_reg).name;
-        const ModuleKind kind = cls.kind.at(key_reg);
-        const ir::RegisterId count_reg = cls.count_companion.at(key_reg);
-
-        check_migrate_fault("table group '" + key_name + "'");
-
-        const auto way_seeds_it = seeds.find(key_reg);
-        const std::map<std::int64_t, std::uint64_t> empty_seeds;
-        const auto& way_seeds =
-            way_seeds_it == seeds.end() ? empty_seeds : way_seeds_it->second;
-
-        // Destination arrays, zero-initialized.
-        std::map<std::pair<ir::RegisterId, std::int64_t>, std::vector<std::uint64_t>> dest;
-        for (const sim::RegRowInfo& w : ways) {
-            dest[{key_reg, w.instance}].assign(static_cast<std::size_t>(w.elems), 0);
-            for (const ir::RegisterId c : companions) {
-                if (placed.count({c, w.instance})) {
-                    dest[{c, w.instance}].assign(
-                        static_cast<std::size_t>(to.reg_row_data(c, w.instance).size()), 0);
-                }
-            }
-        }
-
-        // Collect old entries (key + companion values), deterministic order.
-        struct Entry {
-            std::uint64_t key = 0;
-            std::int64_t src_way = 0;
-            std::map<ir::RegisterId, std::uint64_t> values;
-        };
-        std::vector<Entry> entries;
-        for (const auto& [nameinst, data] : old_rows) {
-            if (nameinst.first != key_name) continue;
-            const std::int64_t way = nameinst.second;
-            for (std::size_t s = 0; s < data.size(); ++s) {
-                if (data[s] == 0) continue;
-                Entry e;
-                e.key = data[s];
-                e.src_way = way;
-                for (const ir::RegisterId c : companions) {
-                    const auto* comp = old_row(tp.reg(c).name, way);
-                    e.values[c] = comp != nullptr && s < comp->size() ? (*comp)[s] : 0;
-                }
-                entries.push_back(std::move(e));
-            }
-        }
-
-        std::int64_t moved = 0;
-        std::int64_t dropped = 0;
-        const auto count_of = [&](const Entry& e) {
-            return count_reg == ir::kNoId ? 0 : static_cast<std::int64_t>(e.values.at(count_reg));
-        };
-        for (const Entry& e : entries) {
-            // Candidate ways: the entry's old way first, then the rest.
-            std::vector<const sim::RegRowInfo*> candidates;
-            for (const sim::RegRowInfo& w : ways) {
-                if (w.instance == e.src_way) candidates.insert(candidates.begin(), &w);
-                else candidates.push_back(&w);
-            }
-            bool placed_entry = false;
-            const sim::RegRowInfo* weakest_way = nullptr;
-            std::size_t weakest_idx = 0;
-            std::int64_t weakest_count = 0;
-            for (const sim::RegRowInfo* w : candidates) {
-                const auto seed_it = way_seeds.find(w->instance);
-                if (seed_it == way_seeds.end()) continue;  // way not rehashable
-                // Matches the simulator's Hash lowering for single-source
-                // probes: hash_words({key}, seed) % elems.
-                const std::size_t idx = static_cast<std::size_t>(
-                    support::hash_word(e.key, seed_it->second) %
-                    static_cast<std::uint64_t>(w->elems));
-                std::vector<std::uint64_t>& keys = dest.at({key_reg, w->instance});
-                if (keys[idx] == 0) {
-                    keys[idx] = e.key;
-                    for (const auto& [c, v] : e.values) {
-                        const auto d = dest.find({c, w->instance});
-                        if (d != dest.end() && idx < d->second.size()) d->second[idx] = v;
-                    }
-                    ++moved;
-                    placed_entry = true;
-                    break;
-                }
-                if (keys[idx] == e.key) {  // duplicate of an already-moved entry
-                    if (count_reg != ir::kNoId) {
-                        auto& cnts = dest.at({count_reg, w->instance});
-                        if (idx < cnts.size()) {
-                            cnts[idx] += e.values.count(count_reg) ? e.values.at(count_reg) : 0;
-                        }
-                    }
-                    ++moved;
-                    placed_entry = true;
-                    break;
-                }
-                // Occupied by another key: remember the weakest incumbent for
-                // heavy-hitter displacement.
-                if (count_reg != ir::kNoId) {
-                    const auto& cnts = dest.at({count_reg, w->instance});
-                    const std::int64_t incumbent =
-                        idx < cnts.size() ? static_cast<std::int64_t>(cnts[idx]) : 0;
-                    if (weakest_way == nullptr || incumbent < weakest_count) {
-                        weakest_way = w;
-                        weakest_idx = idx;
-                        weakest_count = incumbent;
-                    }
-                }
-            }
-            if (placed_entry) continue;
-            if (kind == ModuleKind::HeavyHitter && weakest_way != nullptr &&
-                count_of(e) > weakest_count) {
-                // Displace the weakest incumbent (Precision keeps the
-                // heavier flow); the displaced entry is lost.
-                dest.at({key_reg, weakest_way->instance})[weakest_idx] = e.key;
-                for (const auto& [c, v] : e.values) {
-                    const auto d = dest.find({c, weakest_way->instance});
-                    if (d != dest.end() && weakest_idx < d->second.size()) {
-                        d->second[weakest_idx] = v;
-                    }
-                }
-                ++moved;
-                ++dropped;  // the displaced incumbent
-            } else {
-                ++dropped;  // cache collision / no slot: incoming entry is lost
-            }
-        }
-
-        // Commit destination arrays and record per-row reports.
-        for (const auto& [reginst, data] : dest) {
-            to.reg_row_assign(reginst.first, reginst.second, data);
-            handled.insert(reginst);
-        }
-        bool first_row = true;
-        std::vector<ir::RegisterId> group_regs{key_reg};
-        group_regs.insert(group_regs.end(), companions.begin(), companions.end());
-        for (const sim::RegRowInfo& w : ways) {
-            for (const ir::RegisterId r : group_regs) {
-                if (!handled.count({r, w.instance})) continue;
-                RowMigration rm;
-                rm.reg = tp.reg(r).name;
-                rm.instance = w.instance;
-                rm.kind = kind;
-                rm.policy = "rehash";
-                const auto* old = old_row(rm.reg, w.instance);
-                rm.old_elems = old != nullptr ? static_cast<std::int64_t>(old->size()) : 0;
-                rm.new_elems = static_cast<std::int64_t>(dest.at({r, w.instance}).size());
-                rm.exact = dropped == 0;
-                rm.invariant_preserved = true;  // surviving entries are reachable
-                if (first_row) {
-                    rm.entries_moved = moved;
-                    rm.entries_dropped = dropped;
-                    first_row = false;
-                }
-                report.rows.push_back(std::move(rm));
-            }
-        }
-    }
-
-    // --- per-row kinds: counters, Bloom rows, opaque state.
-    for (const sim::RegRowInfo& info : to_rows) {
-        if (handled.count({info.reg, info.instance})) continue;
-        const std::string name = tp.reg(info.reg).name;
-        const ModuleKind kind = cls.kind.count(info.reg) ? cls.kind.at(info.reg)
-                                                         : ModuleKind::Opaque;
+    std::map<ir::RegisterId, std::int64_t> group_dropped;  // per group already rehashed
+    for (const StaticRowVerdict& v : plan.rows) {
         RowMigration rm;
-        rm.reg = name;
-        rm.instance = info.instance;
-        rm.kind = kind;
-        rm.new_elems = info.elems;
-
-        const auto* old = old_row(name, info.instance);
-        if (old == nullptr) {
-            rm.policy = "fresh";  // row is new in this layout; nothing to move
-            report.rows.push_back(std::move(rm));
-            continue;
-        }
-        check_migrate_fault("row " + name + "_" + std::to_string(info.instance));
-        rm.old_elems = static_cast<std::int64_t>(old->size());
-
-        const std::int64_t oe = rm.old_elems;
-        const std::int64_t ne = rm.new_elems;
-        std::vector<std::uint64_t> data(static_cast<std::size_t>(ne), 0);
-        const bool foldable = kind == ModuleKind::Counter || kind == ModuleKind::Bloom;
-        const bool is_or = kind == ModuleKind::Bloom;
-        if (ne == oe) {
-            rm.policy = "copy";
-            data = *old;
-        } else if (!foldable) {
-            rm.policy = "zero";
-            rm.exact = false;
-            rm.invariant_preserved = false;
-        } else if (ne > oe) {
-            if (ne % oe == 0) {
-                // H mod ne mod oe == H mod oe, so every estimate is preserved.
-                rm.policy = "replicate-up";
-                for (std::int64_t j = 0; j < ne; ++j) {
-                    data[static_cast<std::size_t>(j)] = (*old)[static_cast<std::size_t>(j % oe)];
-                }
-            } else {
-                rm.policy = "copy-prefix";
-                std::copy(old->begin(), old->end(), data.begin());
-                rm.exact = false;
-                rm.invariant_preserved = false;  // estimates of old keys may dip
+        rm.reg = v.reg;
+        rm.instance = v.instance;
+        rm.kind = v.kind;
+        rm.policy = v.policy;
+        rm.old_elems = v.old_elems;
+        rm.new_elems = v.new_elems;
+        rm.exact = v.safety == MigrationSafety::Exact;
+        rm.invariant_preserved = v.safety != MigrationSafety::Unsafe;
+        if (v.action == MigrationPolicy::Rehash) {
+            // The whole group moves when its first row comes up; that row
+            // carries the group's entry counts.
+            if (!group_dropped.count(v.group)) {
+                check_migrate_fault("table group '" + tp.reg(v.group).name + "'");
+                const auto way_seeds = seeds.find(v.group);
+                const RehashCount n =
+                    rehash_group(tp, cls, v.group, plan.rows, old_rows,
+                                 way_seeds == seeds.end() ? SeedsByWay{} : way_seeds->second, to);
+                rm.entries_moved = n.moved;
+                rm.entries_dropped = n.dropped;
+                group_dropped[v.group] = n.dropped;
             }
-        } else {
-            rm.policy = is_or ? "fold-or" : "fold-sum";
-            for (std::int64_t i = 0; i < oe; ++i) {
-                auto& cell = data[static_cast<std::size_t>(i % ne)];
-                const std::uint64_t v = (*old)[static_cast<std::size_t>(i)];
-                cell = is_or ? (cell | v) : (cell + v);
-            }
-            rm.exact = false;  // over-estimates / false positives grow
-            rm.invariant_preserved = oe % ne == 0;
+            rm.exact = group_dropped.at(v.group) == 0;
+        } else if (v.action != MigrationPolicy::Fresh) {
+            check_migrate_fault("row " + v.reg + "_" + std::to_string(v.instance));
+            to.reg_row_assign(tp.find_register(v.reg), v.instance,
+                              transform_row(v.action, old_rows.at({v.reg, v.instance}),
+                                            v.new_elems));
         }
-        to.reg_row_assign(info.reg, info.instance, data);
         report.rows.push_back(std::move(rm));
     }
-
     return report;
 }
 

@@ -3,44 +3,36 @@
 // When a live reconfiguration changes symbolic sizes (sketch columns, cache
 // ways/slots, table geometry), the old pipeline's register state must carry
 // over to the new one so the data structures keep their accumulated
-// knowledge. The migrator classifies every register row by *module kind* —
-// derived structurally from the IR (how the row is indexed, updated, and
-// guarded), not from names — and applies a per-kind policy:
+// knowledge. Every register is classified by *module kind* — derived
+// structurally from the IR (how the row is indexed, updated, and guarded),
+// not from names:
 //
-//   Counter (count-min rows: hash-indexed reg_add)
-//     grow,  new % old == 0:  replicate-up  new[j] = old[j mod old]
-//                             (estimates preserved exactly: H mod new mod
-//                              old == H mod old when old | new)
-//     shrink, old % new == 0: fold-sum      new[j] = sum old[j + k*new]
-//                             (the no-undercount invariant survives;
-//                              over-estimates grow by the folded mass)
-//     otherwise:              copy-prefix / fold-mod, best effort — counter
-//                             values survive but estimate continuity is
-//                             approximate (flagged inexact)
+//   Counter      count-min rows: hash-indexed reg_add (or min/max)
+//   Bloom        1-bit rows: hash-indexed query + set
+//   Cache        a key row read into a field compared against the packet
+//                key, plus value rows sharing its probe index (NetCache KVS)
+//   HeavyHitter  the same shape with an in-plane count row (Precision)
+//   Opaque       anything else
 //
-//   Bloom (1-bit rows: hash-indexed query + set)
-//     same shapes with OR in place of sum; divisible moves preserve the
-//     no-false-negative invariant exactly
+// migrate_state asks the planner (migrate_static.hpp, plan_rows) for each
+// destination row's policy and safety verdict, then executes the transform
+// the verdict names: copy, replicate-up, fold-sum / fold-or, copy-prefix,
+// zero, or — for a key-table group, as one unit — rehash. A rehash
+// re-inserts every stored entry at its key's hash slot in the new geometry
+// (the keys live in the key register). Collisions resolve per kind: a
+// cache keeps the incumbent and drops the incoming entry (dropping cached
+// state is always safe); a heavy-hitter table keeps whichever entry carries
+// the larger count.
 //
-//   Cache (key row + value rows sharing a probe index, e.g. the NetCache
-//   KVS) and HeavyHitter (key row + in-plane count rows, e.g. Precision)
-//     rehash: every stored entry is re-inserted at its key's hash slot in
-//     the new geometry (the keys are recoverable — they live in the key
-//     register). Collisions resolve per kind: a cache keeps the incumbent
-//     and drops the incoming entry (dropping cached state is always safe);
-//     a heavy-hitter table keeps whichever entry carries the larger count.
-//
-//   Opaque (anything unclassified): copied when sizes match, else reset.
-//
-// The `runtime.migrate` fault point is checked once per migrated row group;
-// a firing aborts the migration with Error(Errc::FaultInjected). Migration
-// only ever writes the *destination* pipeline, so the caller's old pipeline
-// is untouched by any failure (the runtime's rollback relies on this).
+// The `runtime.migrate` fault point is checked once per rehashed group and
+// once per carried-over row; a firing aborts the migration with
+// Error(Errc::FaultInjected). Migration only ever writes the *destination*
+// pipeline, so the caller's old pipeline is untouched by any failure (the
+// runtime's rollback relies on this).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,22 +45,15 @@ enum class ModuleKind { Counter, Bloom, Cache, HeavyHitter, Opaque };
 
 [[nodiscard]] const char* module_kind_name(ModuleKind kind) noexcept;
 
-/// Classifies one register of `prog` by its IR access pattern (exposed for
-/// tests; migrate_state uses the same logic).
-[[nodiscard]] ModuleKind classify_register(const ir::Program& prog, ir::RegisterId reg);
-
 /// The full structural classification: per-register kinds plus the key-table
-/// groups (key register -> companions sharing its probe index). This is the
-/// exact grouping migrate_state rehashes by; the static migration planner
-/// (migrate_static.hpp) consumes it so its verdicts track the dynamic
-/// migrator policy-for-policy.
+/// groups (key register -> companions sharing its probe index) that rehash
+/// as one unit.
 struct RegisterClassification {
     std::map<ir::RegisterId, ModuleKind> kind;
     /// key register -> companions sharing its probe-index field.
     std::map<ir::RegisterId, std::vector<ir::RegisterId>> groups;
     /// key register -> the in-plane count companion (kNoId for caches).
     std::map<ir::RegisterId, ir::RegisterId> count_companion;
-    std::set<ir::RegisterId> grouped;  // every register owned by some group
 };
 
 [[nodiscard]] RegisterClassification classify_registers(const ir::Program& prog);
@@ -78,17 +63,18 @@ struct RowMigration {
     std::string reg;
     std::int64_t instance = 0;
     ModuleKind kind = ModuleKind::Opaque;
-    std::string policy;  // copy | replicate-up | fold-sum | fold-or | copy-prefix |
-                         // fold-mod | rehash | fresh | zero
+    std::string policy;  // the planner's policy name (migrate_static.hpp)
     std::int64_t old_elems = 0;  // 0 when the row is new in this layout
     std::int64_t new_elems = 0;
     std::int64_t entries_moved = 0;    // key-table kinds: entries re-inserted
     std::int64_t entries_dropped = 0;  // key-table kinds: collision losses
     /// State semantically preserved exactly (estimates / lookups unchanged
-    /// for everything recorded before the migration).
+    /// for everything recorded before the migration): the verdict is Exact,
+    /// or — for rehash rows — the group dropped no entry.
     bool exact = true;
     /// The module's safety invariant (CMS no-undercount, Bloom
-    /// no-false-negative, tables: surviving entries reachable) held.
+    /// no-false-negative, tables: surviving entries reachable) held: the
+    /// verdict is not Unsafe.
     bool invariant_preserved = true;
 };
 
@@ -104,7 +90,8 @@ struct MigrationReport {
 
 /// Transfers register state from `from` into `to` (two pipelines compiled
 /// from the same source at possibly different sizes; rows are matched by
-/// register name + instance). Writes only `to`. Throws
+/// register name + instance) by executing the planner's verdict for every
+/// row of `to`, in plan order. Writes only `to`. Throws
 /// Error(Errc::MigrationError) on structural impossibilities and
 /// Error(Errc::FaultInjected) when the `runtime.migrate` point fires.
 [[nodiscard]] MigrationReport migrate_state(const sim::Pipeline& from, sim::Pipeline& to);

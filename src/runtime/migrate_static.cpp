@@ -1,11 +1,9 @@
-// Static migration planner: migrate_state's policy table on layout geometry.
+// The migration policy table (plan_rows) and its layout-pair front end.
 #include "runtime/migrate_static.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
-#include <utility>
 
 namespace p4all::runtime {
 
@@ -14,6 +12,20 @@ const char* migration_safety_name(MigrationSafety safety) noexcept {
         case MigrationSafety::Exact: return "exact";
         case MigrationSafety::Invariant: return "invariant";
         case MigrationSafety::Unsafe: return "unsafe";
+    }
+    return "?";
+}
+
+const char* migration_policy_name(MigrationPolicy policy) noexcept {
+    switch (policy) {
+        case MigrationPolicy::Fresh: return "fresh";
+        case MigrationPolicy::Copy: return "copy";
+        case MigrationPolicy::ReplicateUp: return "replicate-up";
+        case MigrationPolicy::CopyPrefix: return "copy-prefix";
+        case MigrationPolicy::FoldSum: return "fold-sum";
+        case MigrationPolicy::FoldOr: return "fold-or";
+        case MigrationPolicy::Zero: return "zero";
+        case MigrationPolicy::Rehash: return "rehash";
     }
     return "?";
 }
@@ -42,39 +54,26 @@ std::string StaticMigrationPlan::to_string() const {
     return out;
 }
 
-StaticMigrationPlan plan_migration(const ir::Program& from_prog,
-                                   const compiler::Layout& from_layout,
-                                   const ir::Program& to_prog,
-                                   const compiler::Layout& to_layout) {
-    // Old geometry by (register name, instance) — the same matching rule the
-    // dynamic migrator applies to pipeline rows.
-    std::map<std::pair<std::string, std::int64_t>, std::int64_t> old_elems;
-    for (const compiler::StagePlan& plan : from_layout.stages) {
-        for (const compiler::PlacedRegister& pr : plan.registers) {
-            old_elems[{from_prog.reg(pr.reg).name, pr.instance}] = pr.elems;
-        }
-    }
+StaticMigrationPlan plan_rows(const ir::Program& to_prog, const RegisterClassification& cls,
+                              const OldRowSizes& old_rows, const NewRowSizes& new_rows) {
     const auto old_row = [&](const std::string& name,
                              std::int64_t inst) -> std::optional<std::int64_t> {
-        const auto it = old_elems.find({name, inst});
-        if (it == old_elems.end()) return std::nullopt;
+        const auto it = old_rows.find({name, inst});
+        if (it == old_rows.end()) return std::nullopt;
         return it->second;
     };
-
-    std::vector<std::pair<ir::RegisterId, std::int64_t>> to_rows;  // (reg, instance)
-    std::map<ir::RegisterId, std::vector<std::pair<std::int64_t, std::int64_t>>> to_by_reg;
-    std::map<std::pair<ir::RegisterId, std::int64_t>, std::int64_t> to_elems;
-    for (const compiler::StagePlan& plan : to_layout.stages) {
-        for (const compiler::PlacedRegister& pr : plan.registers) {
-            to_rows.push_back({pr.reg, pr.instance});
-            to_by_reg[pr.reg].push_back({pr.instance, pr.elems});
-            to_elems[{pr.reg, pr.instance}] = pr.elems;
-        }
-    }
-    std::sort(to_rows.begin(), to_rows.end());
-    for (auto& [reg, ways] : to_by_reg) std::sort(ways.begin(), ways.end());
-
-    const RegisterClassification cls = classify_registers(to_prog);
+    const auto verdict = [&](ir::RegisterId reg, std::int64_t instance, std::int64_t elems,
+                             ModuleKind kind, MigrationPolicy action) {
+        StaticRowVerdict v;
+        v.reg = to_prog.reg(reg).name;
+        v.instance = instance;
+        v.kind = kind;
+        v.action = action;
+        v.policy = migration_policy_name(action);
+        v.old_elems = old_row(v.reg, instance).value_or(0);
+        v.new_elems = elems;
+        return v;
+    };
 
     StaticMigrationPlan plan;
     std::set<std::pair<ir::RegisterId, std::int64_t>> handled;
@@ -82,13 +81,11 @@ StaticMigrationPlan plan_migration(const ir::Program& from_prog,
     // --- key-table groups rehash as a unit; the verdict hinges on whether
     // any old key row exists (entries to move => collisions are possible).
     for (const auto& [key_reg, companions] : cls.groups) {
-        const auto ways_it = to_by_reg.find(key_reg);
-        if (ways_it == to_by_reg.end()) continue;  // group absent from layout
-        const std::string key_name = to_prog.reg(key_reg).name;
+        const std::string& key_name = to_prog.reg(key_reg).name;
         const ModuleKind kind = cls.kind.at(key_reg);
 
         bool has_old_entries = false;
-        for (const auto& [name_inst, elems] : old_elems) {
+        for (const auto& [name_inst, elems] : old_rows) {
             if (name_inst.first == key_name && elems > 0) {
                 has_old_entries = true;
                 break;
@@ -97,92 +94,103 @@ StaticMigrationPlan plan_migration(const ir::Program& from_prog,
 
         std::vector<ir::RegisterId> group_regs{key_reg};
         group_regs.insert(group_regs.end(), companions.begin(), companions.end());
-        for (const auto& [way, unused_elems] : ways_it->second) {
-            (void)unused_elems;
+        // The key register's rows are the group's ways; an absent key
+        // register leaves its companions to the per-row table below.
+        for (const auto& [way, way_elems] : new_rows) {
+            if (way.first != key_reg) continue;
+            const std::int64_t instance = way.second;
             for (const ir::RegisterId r : group_regs) {
-                const auto elems_it = to_elems.find({r, way});
-                if (elems_it == to_elems.end()) continue;  // companion row not at this way
-                StaticRowVerdict v;
-                v.reg = to_prog.reg(r).name;
-                v.instance = way;
-                v.kind = kind;
-                v.policy = "rehash";
-                v.old_elems = old_row(v.reg, way).value_or(0);
-                v.new_elems = elems_it->second;
+                const auto elems_it = new_rows.find({r, instance});
+                if (elems_it == new_rows.end()) continue;  // companion row not at this way
+                StaticRowVerdict v =
+                    verdict(r, instance, elems_it->second, kind, MigrationPolicy::Rehash);
+                v.group = key_reg;
                 if (has_old_entries) {
                     v.safety = MigrationSafety::Invariant;
                     v.reason = "rehash keeps every surviving entry reachable; collisions may "
                                "drop entries, so exactness is data-dependent";
                 } else {
-                    v.safety = MigrationSafety::Exact;
                     v.reason = "no old rows to rehash";
                 }
-                handled.insert({r, way});
+                handled.insert(elems_it->first);
                 plan.rows.push_back(std::move(v));
             }
         }
     }
 
     // --- per-row kinds: counters, Bloom rows, opaque state.
-    for (const auto& [reg, instance] : to_rows) {
-        if (handled.count({reg, instance})) continue;
-        const std::string name = to_prog.reg(reg).name;
-        const ModuleKind kind =
-            cls.kind.count(reg) ? cls.kind.at(reg) : ModuleKind::Opaque;
-
-        StaticRowVerdict v;
-        v.reg = name;
-        v.instance = instance;
-        v.kind = kind;
-        v.new_elems = to_elems.at({reg, instance});
-
-        const std::optional<std::int64_t> old = old_row(name, instance);
-        if (!old) {
-            v.policy = "fresh";
-            v.reason = "row is new in this layout";
-            plan.rows.push_back(std::move(v));
-            continue;
-        }
-        v.old_elems = *old;
-
-        const std::int64_t oe = v.old_elems;
-        const std::int64_t ne = v.new_elems;
+    for (const auto& [row, elems] : new_rows) {
+        if (handled.count(row)) continue;
+        const auto [reg, instance] = row;
+        const auto kind_it = cls.kind.find(reg);
+        const ModuleKind kind = kind_it == cls.kind.end() ? ModuleKind::Opaque : kind_it->second;
+        const std::optional<std::int64_t> old = old_row(to_prog.reg(reg).name, instance);
+        const std::int64_t oe = old.value_or(0);
+        const std::int64_t ne = elems;
         const bool foldable = kind == ModuleKind::Counter || kind == ModuleKind::Bloom;
         const bool is_or = kind == ModuleKind::Bloom;
-        if (ne == oe) {
-            v.policy = "copy";
-            v.reason = "same geometry";
+
+        MigrationPolicy action = MigrationPolicy::Fresh;
+        MigrationSafety safety = MigrationSafety::Exact;
+        std::string reason;
+        if (!old) {
+            reason = "row is new in this layout";
+        } else if (ne == oe) {
+            action = MigrationPolicy::Copy;
+            reason = "same geometry";
         } else if (!foldable) {
-            v.policy = "zero";
-            v.safety = MigrationSafety::Unsafe;
-            v.reason = std::string(module_kind_name(kind)) +
-                       " state cannot be resized; the row resets and loses its invariant";
+            action = MigrationPolicy::Zero;
+            safety = MigrationSafety::Unsafe;
+            reason = std::string(module_kind_name(kind)) +
+                     " state cannot be resized; the row resets and loses its invariant";
         } else if (ne > oe) {
             if (ne % oe == 0) {
-                v.policy = "replicate-up";
-                v.reason = "old | new: H mod new mod old == H mod old, estimates preserved";
+                action = MigrationPolicy::ReplicateUp;
+                reason = "old | new: H mod new mod old == H mod old, estimates preserved";
             } else {
-                v.policy = "copy-prefix";
-                v.safety = MigrationSafety::Unsafe;
-                v.reason = "non-divisible grow remaps hash slots; estimates of old keys "
-                           "may undercount";
+                action = MigrationPolicy::CopyPrefix;
+                safety = MigrationSafety::Unsafe;
+                reason = "non-divisible grow remaps hash slots; estimates of old keys "
+                         "may undercount";
             }
         } else {
-            v.policy = is_or ? "fold-or" : "fold-sum";
+            action = is_or ? MigrationPolicy::FoldOr : MigrationPolicy::FoldSum;
             if (oe % ne == 0) {
-                v.safety = MigrationSafety::Invariant;
-                v.reason = is_or ? "divisible fold keeps no-false-negative; false positives grow"
-                                 : "divisible fold keeps no-undercount; over-estimates grow";
+                safety = MigrationSafety::Invariant;
+                reason = is_or ? "divisible fold keeps no-false-negative; false positives grow"
+                               : "divisible fold keeps no-undercount; over-estimates grow";
             } else {
-                v.safety = MigrationSafety::Unsafe;
-                v.reason = "non-divisible shrink breaks the fold congruence; the module "
-                           "invariant is lost";
+                safety = MigrationSafety::Unsafe;
+                reason = "non-divisible shrink breaks the fold congruence; the module "
+                         "invariant is lost";
             }
         }
+        StaticRowVerdict v = verdict(reg, instance, ne, kind, action);
+        v.safety = safety;
+        v.reason = std::move(reason);
         plan.rows.push_back(std::move(v));
     }
 
     return plan;
+}
+
+StaticMigrationPlan plan_migration(const ir::Program& from_prog,
+                                   const compiler::Layout& from_layout,
+                                   const ir::Program& to_prog,
+                                   const compiler::Layout& to_layout) {
+    OldRowSizes old_rows;
+    for (const compiler::StagePlan& plan : from_layout.stages) {
+        for (const compiler::PlacedRegister& pr : plan.registers) {
+            old_rows[{from_prog.reg(pr.reg).name, pr.instance}] = pr.elems;
+        }
+    }
+    NewRowSizes new_rows;
+    for (const compiler::StagePlan& plan : to_layout.stages) {
+        for (const compiler::PlacedRegister& pr : plan.registers) {
+            new_rows[{pr.reg, pr.instance}] = pr.elems;
+        }
+    }
+    return plan_rows(to_prog, classify_registers(to_prog), old_rows, new_rows);
 }
 
 // ---------------------------------------------------------------------------

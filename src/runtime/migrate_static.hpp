@@ -1,29 +1,41 @@
-// Static migration-safety analysis: the migrate_state policy table
-// evaluated on layout geometry alone, before any traffic moves.
+// Migration planning: the one policy table every state migration runs.
 //
-// plan_migration walks the destination layout's placed register rows and
-// assigns each the policy migrate_state would pick — from nothing but the
-// two layouts and the register classification — then maps the policy to a
-// three-valued safety verdict:
+// The planner gives each destination register row a policy — from nothing
+// but old/new row geometry and the register's module kind
+// (classify_registers) — and a three-valued safety verdict:
 //
 //   Exact      state carries over with estimates/lookups unchanged
-//              (copy, replicate-up, fresh rows, rehash of an empty group)
-//   Invariant  the module's safety invariant survives but values may
-//              coarsen (divisible fold-sum/fold-or, rehash with entries)
-//   Unsafe     the invariant is lost (zero-reset, copy-prefix,
-//              non-divisible fold)
+//   Invariant  the module's invariant (CMS no-undercount, Bloom
+//              no-false-negative, table entries reachable) survives, but
+//              values may coarsen
+//   Unsafe     the invariant is lost
 //
-// The verdict relation to the dynamic migrator is exact by construction and
-// cross-checked by tests: a row is Unsafe here if and only if migrate_state
-// reports invariant_preserved == false for it, and Exact implies the
-// dynamic report is exact. ElasticRuntime consults the plan to reject
-// invariant-breaking swaps before the migrator (or any traffic) runs; the
-// migration-safety-static lint pass reports the same verdicts through the
-// PassRegistry/SARIF machinery when given a layout pair payload.
+//   policy        applies to                         verdict
+//   fresh         a row new in this layout           Exact
+//   copy          a row whose size is unchanged      Exact
+//   replicate-up  counter/Bloom grow, old | new      Exact: new[j] = old[j mod old], and
+//                                                    H mod new mod old == H mod old
+//   copy-prefix   counter/Bloom grow otherwise       Unsafe: hash slots remap
+//   fold-sum      counter shrink                     Invariant when new | old, else
+//   fold-or       Bloom shrink                       Unsafe: new[j] = sum/or old[j + k*new]
+//   zero          any other resized row              Unsafe: the row resets
+//   rehash        every row of a key-table group     Invariant when old entries exist
+//                 (key register + companions         (collisions may drop some), else
+//                 sharing its probe index)           Exact
+//
+// plan_migration evaluates the table on two compiled layouts, before any
+// pipeline exists: ElasticRuntime rejects a swap with an Unsafe row here,
+// and the migration-safety-static lint pass reports the same verdicts
+// through the PassRegistry/SARIF machinery when given a layout pair
+// payload. migrate_state (migrate.hpp) runs the same table on two live
+// pipelines and executes each verdict's transform, so the plan *is* what
+// the migrator does.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compiler/layout.hpp"
@@ -36,16 +48,24 @@ enum class MigrationSafety { Exact, Invariant, Unsafe };
 
 [[nodiscard]] const char* migration_safety_name(MigrationSafety safety) noexcept;
 
-/// The statically determined fate of one destination register row.
+/// The data transform a row's policy names.
+enum class MigrationPolicy { Fresh, Copy, ReplicateUp, CopyPrefix, FoldSum, FoldOr, Zero, Rehash };
+
+[[nodiscard]] const char* migration_policy_name(MigrationPolicy policy) noexcept;
+
+/// The planned fate of one destination register row.
 struct StaticRowVerdict {
     std::string reg;
     std::int64_t instance = 0;
     ModuleKind kind = ModuleKind::Opaque;
-    std::string policy;          // the migrate_state policy this row gets
+    MigrationPolicy action = MigrationPolicy::Fresh;
+    std::string policy;          // migration_policy_name(action), as reports print it
     std::int64_t old_elems = 0;  // 0 when the row is new in this layout
     std::int64_t new_elems = 0;
     MigrationSafety safety = MigrationSafety::Exact;
     std::string reason;          // one-line justification of the verdict
+    /// Rehash rows: the key register of the table group they move with.
+    ir::RegisterId group = ir::kNoId;
 };
 
 struct StaticMigrationPlan {
@@ -58,9 +78,23 @@ struct StaticMigrationPlan {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// Statically classifies the migration `from_layout` -> `to_layout` of the
-/// same elastic source (rows matched by register name + instance, exactly
-/// like migrate_state). Pure geometry: no pipeline or traffic needed.
+/// Old rows by (register name, instance) — rows match across layouts by
+/// name — and new rows by (register, instance); each maps to its element
+/// count.
+using OldRowSizes = std::map<std::pair<std::string, std::int64_t>, std::int64_t>;
+using NewRowSizes = std::map<std::pair<ir::RegisterId, std::int64_t>, std::int64_t>;
+
+/// The policy table: one verdict per row of `new_rows` (registers of
+/// `to_prog`, classified as `cls`). Key-table groups come first, in key
+/// register order, way by way; the remaining rows follow in (register,
+/// instance) order.
+[[nodiscard]] StaticMigrationPlan plan_rows(const ir::Program& to_prog,
+                                            const RegisterClassification& cls,
+                                            const OldRowSizes& old_rows,
+                                            const NewRowSizes& new_rows);
+
+/// Plans the migration `from_layout` -> `to_layout` of the same elastic
+/// source. Pure geometry: no pipeline or traffic needed.
 [[nodiscard]] StaticMigrationPlan plan_migration(const ir::Program& from_prog,
                                                  const compiler::Layout& from_layout,
                                                  const ir::Program& to_prog,

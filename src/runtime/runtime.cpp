@@ -50,12 +50,9 @@ struct ElasticRuntime::Epoch {
     explicit Epoch(std::shared_ptr<const compiler::CompileResult> r)
         : compiled(std::move(r)),
           // Proved register-bounds facts from the artifacts let the pipeline
-          // run its proved fast path; a compile without artifacts serves the
-          // fully checked interpreter.
+          // run its proved fast path.
           pipe(compiled->program, compiled->layout,
-               compiled->artifacts
-                   ? std::span<const verify::ProofFact>(compiled->artifacts->proofs)
-                   : std::span<const verify::ProofFact>{}) {}
+               std::span<const verify::ProofFact>(compiled->artifacts->proofs)) {}
 };
 
 namespace {
@@ -250,13 +247,14 @@ SwapEvent ElasticRuntime::attempt_swap(const std::string& extra, const std::stri
     }
     event.new_utility = candidate->compiled->utility;
 
-    // Static gate: the migration planner sees every invariant-breaking
-    // geometry from the layouts alone, so an unsafe swap is rejected before
-    // the migrator touches the candidate (and before any traffic).
+    // The one invariant gate: migrate_state executes this same plan, so a
+    // swap the plan passes cannot break a module invariant, and an unsafe
+    // one is rejected before the migrator touches the candidate (and before
+    // any traffic).
     const StaticMigrationPlan plan =
         plan_migration(current_->compiled->program, current_->compiled->layout,
                        candidate->compiled->program, candidate->compiled->layout);
-    if (options_.require_invariants && !plan.invariants_preserved()) {
+    if (!plan.invariants_preserved()) {
         event.migration_exact = false;
         event.invariants_preserved = false;
         return reject(
@@ -274,10 +272,6 @@ SwapEvent ElasticRuntime::attempt_swap(const std::string& extra, const std::stri
     event.migration_exact = migration.exact();
     event.invariants_preserved = migration.invariants_preserved();
     event.entries_dropped = migration.entries_dropped();
-
-    if (options_.require_invariants && !migration.invariants_preserved()) {
-        return reject("migration broke a module invariant:\n" + migration.to_string());
-    }
 
     if (journal_ != nullptr) {
         if (support::fault_fires("runtime.journal.migrate")) {
@@ -453,7 +447,7 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
         std::string why;
         std::unique_ptr<Epoch> cand =
             try_restore(sum.tail_epoch, sum.tail_extra, sum.tail_state_checksum, why);
-        if (cand != nullptr && rt->options_.require_invariants && sum.has_commit()) {
+        if (cand != nullptr && sum.has_commit()) {
             const CommittedEpoch& prev = sum.last_committed();
             std::string prev_full = rt->source_;
             if (!prev.extra.empty()) prev_full += "\n" + prev.extra;

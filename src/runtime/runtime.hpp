@@ -8,21 +8,24 @@
 //                  (full fallback portfolio), gated by the independent audit
 //                  passes (audit::make_resilience_gate) — exactly the PR-3
 //                  acceptance pipeline;
-//   2. migrate     register state flows old -> new through the state
-//                  migrator (migrate.hpp); the old pipeline is never
-//                  written, so the serving epoch is untouched throughout;
-//   3. gate        the swap commits only if migration preserved every
-//                  module invariant (when require_invariants is set) and
-//                  the post-migration snapshot persisted (when a
-//                  snapshot_path is configured);
+//   2. plan        the migration planner (migrate_static.hpp) gives every
+//                  register row of the candidate a policy from the two
+//                  layouts alone; a swap with any invariant-breaking row
+//                  is rejected here, before migration;
+//   3. migrate     register state flows old -> new as the state migrator
+//                  (migrate.hpp) executes that plan; the old pipeline is
+//                  never written, so the serving epoch is untouched
+//                  throughout. The swap commits only if the post-migration
+//                  snapshot persisted (when a snapshot_path or journal is
+//                  configured);
 //   4. swap        one epoch-counter bump adopts the new pipeline; packets
 //                  keep flowing against the old epoch until this instant
 //                  (single-threaded here, but the commit point is atomic by
 //                  construction);
-//   5. rollback    any failure anywhere — compile, migration, gate, the
-//                  `runtime.swap` fault point — discards the candidate
-//                  epoch and keeps serving the old one; every attempt is
-//                  recorded as a SwapEvent.
+//   5. rollback    any failure anywhere — compile, the plan gate,
+//                  migration, snapshot, the `runtime.swap` fault point —
+//                  discards the candidate epoch and keeps serving the old
+//                  one; every attempt is recorded as a SwapEvent.
 //
 // Fault points threaded through this path: `runtime.swap` (commit step),
 // `runtime.migrate` (migrate.cpp), `runtime.snapshot` / `runtime.restore`
@@ -80,8 +83,6 @@ struct RuntimeOptions {
     DriftOptions drift;
     /// Reconfigure automatically when note_packet completes a drifted window.
     bool auto_reconfigure = true;
-    /// Reject (roll back) swaps whose migration broke a module invariant.
-    bool require_invariants = true;
     /// When non-empty: a crash-safe snapshot of the new state is written
     /// here on every committed swap, and a failed write aborts the swap.
     std::string snapshot_path;

@@ -13,6 +13,7 @@ using ilp::LpResult;
 using ilp::LpStatus;
 using ilp::Model;
 using ilp::Var;
+using support::Rat;
 
 // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0. Optimum 12 at (4, 0)
 // with optimal dual y* = (3, 0).

@@ -1,4 +1,4 @@
-#include "audit/rational.hpp"
+#include "support/rational.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 
 namespace p4all::audit {
 namespace {
+
+using support::Rat;
 
 TEST(Rational, FromDoubleIsExactOnDyadics) {
     EXPECT_EQ(Rat::from_double(0.5).to_string(), "1/2");

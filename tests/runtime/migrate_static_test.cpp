@@ -57,6 +57,16 @@ std::vector<LatticeCase> lattice_cases() {
     const auto pr_pins = [](std::int64_t slots) {
         return pin("hh_ways", 2) + pin("hh_slots", slots);
     };
+    // The inter-level / inter-snapshot equality assumes propagate the
+    // level-0 / snapshot-0 pins.
+    const std::string sl = apps::sketchlearn_source();
+    const auto sl_pins = [](std::int64_t rows, std::int64_t cols) {
+        return pin("lvl0_rows", rows) + pin("lvl0_cols", cols);
+    };
+    const std::string cq = apps::conquest_source();
+    const auto cq_pins = [](std::int64_t rows, std::int64_t cols) {
+        return pin("snap0_rows", rows) + pin("snap0_cols", cols);
+    };
     return {
         {"netcache-identical", nc, nc_pins(256, 64), nc_pins(256, 64)},
         {"netcache-pow2-grow", nc, nc_pins(256, 64), nc_pins(1024, 256)},
@@ -64,6 +74,13 @@ std::vector<LatticeCase> lattice_cases() {
         {"netcache-offlattice-shrink", nc, nc_pins(256, 64), nc_pins(192, 64)},
         {"precision-pow2-grow", pr, pr_pins(128), pr_pins(512)},
         {"precision-pow2-shrink", pr, pr_pins(512), pr_pins(64)},
+        {"sketchlearn-pow2-grow", sl, sl_pins(2, 128), sl_pins(2, 512)},
+        {"sketchlearn-pow2-shrink", sl, sl_pins(2, 512), sl_pins(2, 64)},
+        {"sketchlearn-offlattice-grow", sl, sl_pins(2, 128), sl_pins(2, 192)},
+        {"sketchlearn-added-row", sl, sl_pins(1, 128), sl_pins(2, 128)},
+        {"conquest-pow2-grow", cq, cq_pins(2, 64), cq_pins(2, 256)},
+        {"conquest-pow2-shrink", cq, cq_pins(2, 256), cq_pins(2, 128)},
+        {"conquest-offlattice-shrink", cq, cq_pins(2, 256), cq_pins(2, 192)},
     };
 }
 

@@ -73,9 +73,8 @@ TEST(Classify, StructuralKindsRecoveredFromIr) {
     // rows are hash-indexed reg_adds (Counter).
     const auto classify_all = [](const ir::Program& prog) {
         std::map<std::string, ModuleKind> kinds;
-        for (std::size_t i = 0; i < prog.registers.size(); ++i)
-            kinds[prog.registers[i].name] =
-                classify_register(prog, static_cast<ir::RegisterId>(i));
+        for (const auto& [reg, kind] : classify_registers(prog).kind)
+            kinds[prog.reg(reg).name] = kind;
         return kinds;
     };
 
@@ -187,6 +186,157 @@ TEST(Migrate, NonDivisibleShrinkIsFlaggedNotExact) {
     const MigrationReport report = migrate_state(from, to);
     EXPECT_FALSE(report.exact());
     EXPECT_FALSE(report.invariants_preserved()) << report.to_string();
+}
+
+TEST(Migrate, NonDivisibleCounterGrowCopiesThePrefixAndIsFlaggedLossy) {
+    // 256 -> 320 columns: 320 % 256 != 0, so hash slots remap and old keys'
+    // estimates may dip. The old cells survive as a prefix, the tail is zero.
+    const auto a = compile_pinned(apps::netcache_source(), kNetcachePins, "netcache");
+    const auto b = compile_pinned(apps::netcache_source(),
+                                  pin("cms_rows", 2) + pin("cms_cols", 320) +
+                                      pin("kv_ways", 2) + pin("kv_slots", 64),
+                                  "netcache");
+    sim::Pipeline from(a.program, a.layout);
+    sim::Packet pkt(a.program.packet_fields.size(), 0);
+    const auto key_field = static_cast<std::size_t>(a.program.find_packet("key"));
+    for (std::uint64_t key = 1; key <= 200; ++key) {
+        pkt[key_field] = key;
+        from.process(pkt);
+    }
+
+    sim::Pipeline to(b.program, b.layout);
+    const MigrationReport report = migrate_state(from, to);
+    EXPECT_FALSE(report.invariants_preserved()) << report.to_string();
+    int prefix_rows = 0;
+    for (const RowMigration& row : report.rows) {
+        if (row.reg != "cms_cms") continue;
+        EXPECT_EQ(row.policy, "copy-prefix") << report.to_string();
+        EXPECT_FALSE(row.exact);
+        EXPECT_FALSE(row.invariant_preserved);
+        EXPECT_EQ(row.old_elems, 256);
+        EXPECT_EQ(row.new_elems, 320);
+        for (std::int64_t j = 0; j < row.new_elems; ++j) {
+            const std::uint64_t want =
+                j < row.old_elems ? from.reg_read("cms_cms", row.instance, j) : 0;
+            ASSERT_EQ(to.reg_read("cms_cms", row.instance, j), want) << "cell " << j;
+        }
+        ++prefix_rows;
+    }
+    EXPECT_EQ(prefix_rows, 2);
+    EXPECT_NE(report.to_string().find("copy-prefix 256 -> 320 [inexact, lossy]"),
+              std::string::npos)
+        << report.to_string();
+}
+
+/// FlowRadar's flow filter: 2 Bloom rows of `bits` cells beside a fixed
+/// flow table.
+std::string flowradar_pins(std::int64_t bits) {
+    return pin("ff_hashes", 2) + pin("ff_bits", bits) + pin("fc_ways", 2) +
+           pin("fc_slots", 128);
+}
+
+/// True when every Bloom row of `pipe` has `key`'s bit set.
+bool bloom_contains(const sim::Pipeline& pipe, std::uint64_t key) {
+    for (std::int64_t row = 0; row < 2; ++row) {
+        const std::int64_t bits = pipe.reg_size("ff_bf", row);
+        const auto idx = static_cast<std::int64_t>(support::hash_index(
+            key, apps::kBloomSeedBase + static_cast<std::uint64_t>(row),
+            static_cast<std::uint64_t>(bits)));
+        if (pipe.reg_read("ff_bf", row, idx) == 0) return false;
+    }
+    return true;
+}
+
+/// Runs `keys` distinct flows through a FlowRadar pipeline with `bits`-cell
+/// Bloom rows, migrates into `to_bits`, and returns the report after
+/// checking that no inserted flow became a false negative.
+MigrationReport migrate_flowradar(std::int64_t bits, std::int64_t to_bits, std::uint64_t keys) {
+    const auto a = compile_pinned(apps::flowradar_source(), flowradar_pins(bits), "flowradar");
+    const auto b = compile_pinned(apps::flowradar_source(), flowradar_pins(to_bits), "flowradar");
+    sim::Pipeline from(a.program, a.layout);
+    sim::Packet pkt(a.program.packet_fields.size(), 0);
+    const auto flow_field = static_cast<std::size_t>(a.program.find_packet("flow_id"));
+    for (std::uint64_t key = 1; key <= keys; ++key) {
+        pkt[flow_field] = key * 7919;
+        from.process(pkt);
+    }
+    for (std::uint64_t key = 1; key <= keys; ++key) {
+        EXPECT_TRUE(bloom_contains(from, key * 7919)) << "key " << key << " before migration";
+    }
+
+    sim::Pipeline to(b.program, b.layout);
+    MigrationReport report = migrate_state(from, to);
+    for (std::uint64_t key = 1; key <= keys; ++key) {
+        EXPECT_TRUE(bloom_contains(to, key * 7919)) << "false negative for key " << key;
+    }
+    return report;
+}
+
+TEST(Migrate, BloomDivisibleShrinkFoldsWithOrAndKeepsEveryMember) {
+    const MigrationReport report = migrate_flowradar(512, 128, 60);
+    EXPECT_TRUE(report.invariants_preserved()) << report.to_string();
+    int folded = 0;
+    for (const RowMigration& row : report.rows) {
+        if (row.reg != "ff_bf") continue;
+        EXPECT_EQ(row.kind, ModuleKind::Bloom);
+        EXPECT_EQ(row.policy, "fold-or") << report.to_string();
+        EXPECT_FALSE(row.exact);  // false positives grow
+        EXPECT_TRUE(row.invariant_preserved);
+        ++folded;
+    }
+    EXPECT_EQ(folded, 2);
+}
+
+TEST(Migrate, BloomDivisibleGrowReplicatesExactly) {
+    const MigrationReport report = migrate_flowradar(128, 512, 60);
+    EXPECT_TRUE(report.invariants_preserved()) << report.to_string();
+    int replicated = 0;
+    for (const RowMigration& row : report.rows) {
+        if (row.reg != "ff_bf") continue;
+        EXPECT_EQ(row.policy, "replicate-up") << report.to_string();
+        EXPECT_TRUE(row.exact);
+        EXPECT_TRUE(row.invariant_preserved);
+        ++replicated;
+    }
+    EXPECT_EQ(replicated, 2);
+}
+
+TEST(Migrate, ResizedOpaqueRowIsZeroedAndFlaggedLossy) {
+    // A write-only log row outside any key group: nothing says how its
+    // cells map across a resize, so it resets.
+    const char* kLog = R"(
+symbolic int slots;
+assume slots >= 64;
+packet { bit<32> flow_id; }
+metadata { bit<32> idx; }
+register<bit<32>>[slots] last_seen;
+action stamp() {
+    hash(meta.idx, 7, pkt.flow_id, last_seen);
+    reg_write(last_seen, meta.idx, pkt.flow_id);
+}
+control ingress { apply { stamp(); } }
+optimize slots;
+)";
+    const auto a = compile_pinned(kLog, pin("slots", 128), "log");
+    const auto b = compile_pinned(kLog, pin("slots", 256), "log");
+    const ir::RegisterId reg = a.program.find_register("last_seen");
+    ASSERT_NE(reg, ir::kNoId);
+    EXPECT_EQ(classify_registers(a.program).kind.at(reg), ModuleKind::Opaque);
+
+    sim::Pipeline from(a.program, a.layout);
+    for (std::uint64_t key = 1; key <= 50; ++key) from.process({key});
+    sim::Pipeline to(b.program, b.layout);
+    const MigrationReport report = migrate_state(from, to);
+
+    ASSERT_EQ(report.rows.size(), 1u) << report.to_string();
+    const RowMigration& row = report.rows.front();
+    EXPECT_EQ(row.policy, "zero");
+    EXPECT_EQ(row.kind, ModuleKind::Opaque);
+    EXPECT_FALSE(row.exact);
+    EXPECT_FALSE(row.invariant_preserved);
+    EXPECT_FALSE(report.invariants_preserved());
+    for (std::int64_t j = 0; j < 256; ++j) ASSERT_EQ(to.reg_read("last_seen", 0, j), 0u);
+    EXPECT_NE(report.to_string().find("[inexact, lossy]"), std::string::npos);
 }
 
 TEST(Migrate, KeyTableRehashKeepsEntriesReachableWithCounts) {
