@@ -11,8 +11,7 @@ DriftDetector::DriftDetector(DriftOptions options) : options_(options) {
 }
 
 void DriftDetector::observe(std::uint64_t key, int hit) {
-    current_.keys.push_back(key);
-    ++current_.counts[key];
+    current_.keys.push_back(key);  // sample() counts the window once
     if (hit >= 0) {
         ++lookups_;
         if (hit > 0) ++hits_;
@@ -26,6 +25,15 @@ bool DriftDetector::window_full() const noexcept {
 DriftSignal DriftDetector::sample() {
     DriftSignal signal;
 
+    // Count the window once, from its sorted keys.
+    std::vector<std::uint64_t> sorted = current_.keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (auto run = sorted.begin(); run != sorted.end();) {
+        const auto end = std::upper_bound(run, sorted.end(), *run);
+        current_.counts.emplace_hint(current_.counts.end(), *run,
+                                     static_cast<std::uint64_t>(end - run));
+        run = end;
+    }
     const std::vector<std::uint64_t> cur_top = workload::top_keys(current_, options_.top_k);
     if (lookups_ >= options_.min_hit_samples) {
         signal.hit_rate = static_cast<double>(hits_) / static_cast<double>(lookups_);

@@ -31,13 +31,28 @@ std::string assume_eq(const std::string& sym, std::int64_t value) {
     return "assume " + sym + " == " + std::to_string(value) + ";\n";
 }
 
-sim::Packet make_packet(const ir::Program& prog, const char* key_field, std::uint64_t key) {
-    sim::Packet pkt(prog.packet_fields.size(), 0);
-    pkt[static_cast<std::size_t>(prog.find_packet(key_field))] = key;
-    const ir::PacketFieldId dst = prog.find_packet("dst");
-    if (dst != ir::kNoId) pkt[static_cast<std::size_t>(dst)] = key & 0xFF;
-    return pkt;
-}
+/// A driver's reusable packet. Field ids are resolved again only when the
+/// serving program changes; every epoch a driver serves compiles its one
+/// source, so the declared packet fields never differ between them.
+struct PacketBuffer {
+    const char* key_field = nullptr;
+    const ir::Program* prog = nullptr;
+    sim::Packet pkt;
+    std::size_t key = 0;
+    ir::PacketFieldId dst = ir::kNoId;
+
+    const sim::Packet& fill(const ir::Program& serving, std::uint64_t value) {
+        if (&serving != prog) {
+            prog = &serving;
+            pkt.assign(serving.packet_fields.size(), 0);
+            key = static_cast<std::size_t>(serving.find_packet(key_field));
+            dst = serving.find_packet("dst");
+        }
+        pkt[key] = value;
+        if (dst != ir::kNoId) pkt[static_cast<std::size_t>(dst)] = value & 0xFF;
+        return pkt;
+    }
+};
 
 std::int64_t placed_ways(const sim::Pipeline& pipe, const char* reg) {
     std::int64_t w = 0;
@@ -55,10 +70,11 @@ AppDriver netcache_driver() {
                assume_eq("cms_cols", pow2_clamp(4 * distinct, 256, 8192)) +
                assume_eq("kv_slots", pow2_clamp(distinct, 128, 2048));
     };
-    d.step = [](ElasticRuntime& rt, std::uint64_t raw_key) {
+    auto packet = std::make_shared<PacketBuffer>("key");
+    d.step = [packet](ElasticRuntime& rt, std::uint64_t raw_key) {
         sim::Pipeline& pipe = rt.pipeline();
         const std::uint64_t key = raw_key + 1;  // 0 is the empty-slot sentinel
-        pipe.process(make_packet(pipe.program(), "key", key));
+        pipe.process(packet->fill(pipe.program(), key));
         const bool hit = pipe.meta("kv_hit") == 1;
         const std::uint64_t estimate = pipe.meta("cms_min");
         if (!hit && estimate >= kPromoteThreshold) {
@@ -117,9 +133,10 @@ AppDriver sketchlearn_driver() {
         return assume_eq("lvl0_rows", 2) +
                assume_eq("lvl0_cols", pow2_clamp(2 * window.counts.size(), 64, 2048));
     };
-    d.step = [](ElasticRuntime& rt, std::uint64_t key) {
+    auto packet = std::make_shared<PacketBuffer>("flow_id");
+    d.step = [packet](ElasticRuntime& rt, std::uint64_t key) {
         sim::Pipeline& pipe = rt.pipeline();
-        pipe.process(make_packet(pipe.program(), "flow_id", key));
+        pipe.process(packet->fill(pipe.program(), key));
         rt.note_packet(key);  // pure sketch: churn is the only drift signal
     };
     return d;
@@ -135,10 +152,11 @@ AppDriver precision_driver() {
     };
     // The admission lottery's RNG persists across packets and epochs.
     auto rng = std::make_shared<support::Xoshiro256>(42);
-    d.step = [rng](ElasticRuntime& rt, std::uint64_t raw_key) {
+    auto packet = std::make_shared<PacketBuffer>("flow_id");
+    d.step = [rng, packet](ElasticRuntime& rt, std::uint64_t raw_key) {
         sim::Pipeline& pipe = rt.pipeline();
         const std::uint64_t key = raw_key + 1;  // 0 is the empty-slot sentinel
-        pipe.process(make_packet(pipe.program(), "flow_id", key));
+        pipe.process(packet->fill(pipe.program(), key));
         const bool matched = pipe.meta("hh_matched") == 1;
         if (!matched) {
             // Precision admission (applications.cpp's policy): claim an
@@ -181,9 +199,10 @@ AppDriver conquest_driver() {
         return assume_eq("snap0_rows", 2) +
                assume_eq("snap0_cols", pow2_clamp(2 * window.counts.size(), 64, 2048));
     };
-    d.step = [](ElasticRuntime& rt, std::uint64_t key) {
+    auto packet = std::make_shared<PacketBuffer>("flow_id");
+    d.step = [packet](ElasticRuntime& rt, std::uint64_t key) {
         sim::Pipeline& pipe = rt.pipeline();
-        pipe.process(make_packet(pipe.program(), "flow_id", key));
+        pipe.process(packet->fill(pipe.program(), key));
         rt.note_packet(key);
     };
     return d;

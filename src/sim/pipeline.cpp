@@ -157,6 +157,7 @@ Pipeline::Pipeline(const ir::Program& prog, const compiler::Layout& layout,
                 for (const ir::Value& src : op.srcs) co.srcs.push_back(resolve(src, param));
                 if (op.kind == PrimKind::Hash) {
                     co.seed = static_cast<std::uint64_t>(op.seed.at(param));
+                    hash_words_.resize(std::max(hash_words_.size(), co.srcs.size()));
                     if (const auto* r = std::get_if<RegRef>(&*op.modulus)) {
                         const std::pair<ir::RegisterId, std::int64_t> row{
                             r->reg, r->instance.at(param)};
@@ -180,14 +181,19 @@ Pipeline::Pipeline(const ir::Program& prog, const compiler::Layout& layout,
             stages_[s].instances.push_back(std::move(ci));
         }
     }
+
+    // Size the per-packet buffers now, so process() never allocates.
     phv_.assign(meta_masks_.size(), 0);
+    overlay_ = phv_;
+    writes_.resize(compiled_op_count());  // bounds any one stage's writes
 }
 
 std::uint64_t Pipeline::read(const Operand& op, const std::vector<std::uint64_t>& phv,
                              const Packet& pkt) const {
+    // process() has checked the packet's shape, so a field id indexes it.
     switch (op.kind) {
         case Operand::Kind::Meta: return phv[static_cast<std::size_t>(op.slot)];
-        case Operand::Kind::PacketField: return pkt.at(static_cast<std::size_t>(op.slot));
+        case Operand::Kind::PacketField: return pkt[static_cast<std::size_t>(op.slot)];
         case Operand::Kind::Literal: return static_cast<std::uint64_t>(op.literal);
     }
     return 0;
@@ -200,16 +206,16 @@ void Pipeline::process(const Packet& pkt) {
                                  " fields, program '" + prog_.name + "' declares " +
                                  std::to_string(prog_.packet_fields.size()));
     }
-    std::vector<std::uint64_t> pre(phv_.size(), 0);
-    std::vector<std::uint64_t> post;
+    std::fill(phv_.begin(), phv_.end(), 0);
+    std::fill(overlay_.begin(), overlay_.end(), 0);
 
-    for (Stage& stage : stages_) {
-        post = pre;  // writes land here; reads see `pre`
+    for (const Stage& stage : stages_) {
+        std::size_t logged = 0;  // this stage's writes land in writes_; reads see `phv_`
         for (const CompiledInstance& ci : stage.instances) {
             bool fire = true;
             for (const CompiledGuard& g : ci.guards) {
-                const std::uint64_t lhs = read(g.lhs, pre, pkt);
-                const std::uint64_t rhs = read(g.rhs, pre, pkt);
+                const std::uint64_t lhs = read(g.lhs, phv_, pkt);
+                const std::uint64_t rhs = read(g.rhs, phv_, pkt);
                 switch (g.op) {
                     case ir::CmpOp::Lt: fire = lhs < rhs; break;
                     case ir::CmpOp::Le: fire = lhs <= rhs; break;
@@ -222,19 +228,18 @@ void Pipeline::process(const Packet& pkt) {
             }
             if (!fire) continue;
 
-            // Intra-instance forwarding: ops see earlier ops' writes via a
-            // local overlay of the pre-stage PHV.
-            std::vector<std::uint64_t> local = pre;
+            // Intra-instance forwarding: ops see earlier ops' writes via the
+            // overlay, which equals the pre-stage PHV between instances.
+            const std::size_t first_write = logged;
             for (const CompiledOp& op : ci.ops) {
-                const auto src = [&](std::size_t i) { return read(op.srcs[i], local, pkt); };
+                const auto src = [&](std::size_t i) { return read(op.srcs[i], overlay_, pkt); };
                 std::uint64_t result = 0;
                 bool writes_meta = op.dst_slot >= 0;
                 switch (op.kind) {
                     case PrimKind::Hash: {
-                        std::vector<std::uint64_t> words;
-                        words.reserve(op.srcs.size());
-                        for (std::size_t i = 0; i < op.srcs.size(); ++i) words.push_back(src(i));
-                        const std::uint64_t h = support::hash_words(words, op.seed);
+                        for (std::size_t i = 0; i < op.srcs.size(); ++i) hash_words_[i] = src(i);
+                        const std::uint64_t h = support::hash_words(
+                            std::span(hash_words_.data(), op.srcs.size()), op.seed);
                         result = op.modulus_mask != 0 ? (h & op.modulus_mask) : (h % op.modulus);
                         break;
                     }
@@ -244,7 +249,7 @@ void Pipeline::process(const Packet& pkt) {
                     case PrimKind::RegRead:
                     case PrimKind::RegWrite: {
                         RegState& reg = reg_rows_[static_cast<std::size_t>(op.reg)];
-                        std::uint64_t idx = read(op.reg_index, local, pkt);
+                        std::uint64_t idx = read(op.reg_index, overlay_, pkt);
                         switch (op.wrap) {
                             case IndexWrap::Mask: idx &= op.wrap_mask; break;
                             case IndexWrap::Modulo:
@@ -281,22 +286,29 @@ void Pipeline::process(const Packet& pkt) {
                     case PrimKind::Add: result = src(0) + src(1); break;
                     case PrimKind::Sub: result = src(0) - src(1); break;
                     case PrimKind::Min:
-                        result = std::min(local[static_cast<std::size_t>(op.dst_slot)], src(0));
+                        result = std::min(overlay_[static_cast<std::size_t>(op.dst_slot)], src(0));
                         break;
                     case PrimKind::Max:
-                        result = std::max(local[static_cast<std::size_t>(op.dst_slot)], src(0));
+                        result = std::max(overlay_[static_cast<std::size_t>(op.dst_slot)], src(0));
                         break;
                 }
                 if (writes_meta && op.dst_slot >= 0) {
                     const std::size_t slot = static_cast<std::size_t>(op.dst_slot);
-                    local[slot] = result & op.dst_mask;
-                    post[slot] = local[slot];
+                    overlay_[slot] = result & op.dst_mask;
+                    writes_[logged++] = {slot, overlay_[slot]};
                 }
             }
+            for (std::size_t w = first_write; w < logged; ++w) {
+                overlay_[writes_[w].first] = phv_[writes_[w].first];  // back to pre-stage
+            }
         }
-        pre = std::move(post);
+        // Stage barrier: the log applies in the order the writes ran, so the
+        // last writer of a slot wins.
+        for (std::size_t w = 0; w < logged; ++w) {
+            const auto [slot, value] = writes_[w];
+            phv_[slot] = overlay_[slot] = value;
+        }
     }
-    phv_ = std::move(pre);
     ++packets_;
 }
 

@@ -173,7 +173,11 @@ private:
     std::vector<std::uint64_t> meta_masks_;   // per slot
     std::map<std::pair<ir::RegisterId, std::int64_t>, int> reg_index_;
     std::vector<RegState> reg_rows_;
-    std::vector<std::uint64_t> phv_;          // last packet's metadata
+    // Per-packet buffers, sized at construction (process() never allocates):
+    std::vector<std::uint64_t> phv_;          // pre-stage PHV; last packet's metadata
+    std::vector<std::uint64_t> overlay_;      // phv_ plus the running instance's writes
+    std::vector<std::pair<std::size_t, std::uint64_t>> writes_;  // stage write log (slot, value)
+    std::vector<std::uint64_t> hash_words_;   // hash operands
     std::uint64_t packets_ = 0;
     std::size_t elided_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include "apps/reference.hpp"
 #include "compiler/compiler.hpp"
+#include "ir/elaborate.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
@@ -132,6 +133,49 @@ control ingress { apply { reader(); writer(); } }
     pipe.process({77});
     EXPECT_EQ(pipe.meta("a"), 77u);
     EXPECT_EQ(pipe.meta("b"), 0u);  // read the pre-write value
+}
+
+TEST(Pipeline, SameStageInstancesReadPreStageStateAndLastWriterWins) {
+    // Hand-placed: every call shares one stage, which the compiler would
+    // never emit for these conflicts. It pins the stage barrier itself.
+    const ir::Program prog = ir::elaborate_source(R"(
+packet { bit<32> x; }
+metadata { bit<32> a; bit<32> seen; bit<32> gated; bit<32> twice; bit<32> fwd; bit<32> shared; }
+action writer() { set(meta.a, pkt.x); }
+action reader() { set(meta.seen, meta.a); }
+action gate() { set(meta.gated, 1); }
+action twice() { set(meta.twice, pkt.x); add(meta.fwd, meta.twice, 1); set(meta.twice, 5); }
+action first() { set(meta.shared, 1); }
+action second() { set(meta.shared, 2); }
+control ingress {
+    apply { writer(); reader(); if (meta.a == 0) { gate(); } twice(); first(); second(); }
+}
+)");
+    ASSERT_EQ(prog.flow.size(), 6u);
+    const auto one_stage = [](std::vector<int> calls) {
+        compiler::Layout layout;
+        layout.stages.resize(1);
+        for (const int call : calls) layout.stages[0].actions.push_back({call, 0});
+        return layout;
+    };
+
+    const compiler::Layout forward = one_stage({0, 1, 2, 3, 4, 5});
+    Pipeline pipe(prog, forward);
+    pipe.process({40});
+    EXPECT_EQ(pipe.meta("a"), 40u);
+    EXPECT_EQ(pipe.meta("seen"), 0u);   // the reader saw the pre-stage value
+    EXPECT_EQ(pipe.meta("gated"), 1u);  // so did the guard
+    EXPECT_EQ(pipe.meta("fwd"), 41u);   // the instance's own later op saw its first write
+    EXPECT_EQ(pipe.meta("twice"), 5u);  // the stage-out value is its second write
+    EXPECT_EQ(pipe.meta("shared"), 2u); // the later instance wins
+    pipe.process({7});                  // nothing leaks from the previous packet
+    EXPECT_EQ(pipe.meta("seen"), 0u);
+    EXPECT_EQ(pipe.meta("fwd"), 8u);
+
+    const compiler::Layout swapped = one_stage({0, 1, 2, 3, 5, 4});
+    Pipeline reversed(prog, swapped);
+    reversed.process({40});
+    EXPECT_EQ(reversed.meta("shared"), 1u);
 }
 
 TEST(Pipeline, IntraActionForwarding) {
