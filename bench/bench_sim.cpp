@@ -75,10 +75,7 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
         using Clock = std::chrono::steady_clock;
         sim::Pipeline pipe = fresh;
         const auto t0 = Clock::now();
-        for (const sim::Packet& pkt : trace) {
-            sim::Packet p = pkt;
-            pipe.process(p);
-        }
+        for (const sim::Packet& pkt : trace) pipe.process(pkt);
         return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     };
     const auto stats_of = [&](std::vector<double> ms, std::int64_t elided) {
@@ -231,10 +228,7 @@ bench::InstanceReport bench_app_optimized(const std::string& name, const std::st
         using Clock = std::chrono::steady_clock;
         sim::Pipeline pipe = fresh;
         const auto t0 = Clock::now();
-        for (const sim::Packet& pkt : trace) {
-            sim::Packet p = pkt;
-            pipe.process(p);
-        }
+        for (const sim::Packet& pkt : trace) pipe.process(pkt);
         return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     };
     const auto stats_of = [&](std::vector<double> ms, std::int64_t ops) {

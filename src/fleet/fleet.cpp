@@ -145,8 +145,7 @@ void FleetController::validate_and_seed(std::vector<SwitchSpec>& switches,
             throw Error(Errc::FleetConfig,
                         "switch '" + spec.name + "' has negative capacity_bits");
         }
-        if (!switches_.emplace(spec.name, Switch{spec, CircuitBreaker(options_.breaker), true})
-                 .second) {
+        if (!switches_.emplace(spec.name, Switch{spec, CircuitBreaker(options_.breaker)}).second) {
             throw Error(Errc::FleetConfig, "duplicate switch name '" + spec.name + "'");
         }
     }
@@ -202,12 +201,20 @@ runtime::ProfileFn FleetController::wrapped_profile(const Tenant& tenant) const 
     };
 }
 
+std::int64_t FleetController::footprint(const Tenant& tenant) {
+    return tenant.rt ? layout_bits(tenant.rt->compiled()) : 0;
+}
+
+bool FleetController::alive(const std::string& name) const {
+    return detector_.state(name) != Liveness::Dead;
+}
+
 std::int64_t FleetController::free_bits(const Switch& sw) const {
     const std::int64_t capacity =
         sw.spec.capacity_bits == 0 ? kUnbounded : sw.spec.capacity_bits;
     std::int64_t used = 0;
     for (const auto& [name, tenant] : tenants_) {
-        if (tenant.home == sw.spec.name) used += tenant.bits;
+        if (tenant.home == sw.spec.name) used += footprint(tenant);
     }
     return capacity - used;
 }
@@ -215,7 +222,7 @@ std::int64_t FleetController::free_bits(const Switch& sw) const {
 std::vector<std::string> FleetController::candidates() const {
     std::vector<std::pair<std::int64_t, std::string>> ranked;
     for (const auto& [name, sw] : switches_) {
-        if (sw.alive) ranked.emplace_back(free_bits(sw), name);
+        if (alive(name)) ranked.emplace_back(free_bits(sw), name);
     }
     std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
         if (a.first != b.first) return a.first > b.first;
@@ -239,6 +246,12 @@ const FleetController::Tenant& FleetController::tenant_ref(const std::string& na
     return it->second;
 }
 
+const FleetController::Switch& FleetController::switch_ref(const std::string& name) const {
+    const auto it = switches_.find(name);
+    if (it == switches_.end()) throw Error(Errc::FleetConfig, "unknown switch '" + name + "'");
+    return it->second;
+}
+
 std::string FleetController::log_path() const { return options_.journal_root + "/fleet.log"; }
 
 void FleetController::log_event(FleetEventKind kind, const std::string& tenant,
@@ -256,15 +269,37 @@ void FleetController::log_event(FleetEventKind kind, const std::string& tenant,
     events_.push_back(std::move(event));
 }
 
-void FleetController::refresh_bits(Tenant& tenant) {
-    if (!tenant.rt || tenant.rt->epoch() == tenant.epoch_seen) return;
-    tenant.bits = layout_bits(tenant.rt->compiled());
-    tenant.epoch_seen = tenant.rt->epoch();
-    tenant.bits_at_level[*tenant.level] = tenant.bits;
-}
-
 // ---------------------------------------------------------------------------
 // placement
+
+FleetController::LadderMove FleetController::ladder_step(Tenant& tenant,
+                                                         runtime::ElasticRuntime& rt, int to,
+                                                         const std::string& reason) {
+    LadderMove move;
+    const int from = *tenant.level;
+    // Drift may have resized the layout since this level was last priced.
+    move.before = layout_bits(rt.compiled());
+    tenant.bits_at_level[from] = move.before;
+    *tenant.level = to;
+    move.swap = rt.reconfigure(reason);
+    move.after = move.swap.committed ? layout_bits(rt.compiled()) : move.before;
+    // A descent that did not shrink has stalled at the floor: the committed
+    // epoch has the same layout, so restoring the level keeps the in-memory
+    // level equal to what the event log replays.
+    move.moved = move.swap.committed && (to < from || move.after < move.before);
+    if (move.moved) {
+        tenant.bits_at_level[to] = move.after;
+    } else {
+        *tenant.level = from;
+    }
+    return move;
+}
+
+void FleetController::unplace(Tenant& tenant) {
+    if (tenant.rt) tenant.bits_at_level[*tenant.level] = footprint(tenant);
+    tenant.rt.reset();
+    tenant.home.clear();
+}
 
 bool FleetController::try_place_on(Tenant& tenant, Switch& sw, FleetEventKind kind,
                                    const std::string& why) {
@@ -278,8 +313,6 @@ bool FleetController::try_place_on(Tenant& tenant, Switch& sw, FleetEventKind ki
     }
 
     std::unique_ptr<runtime::ElasticRuntime> rt;
-    bool fits = false;
-    std::int64_t final_bits = 0;
     const support::Deadline budget =
         support::Deadline::after_seconds(options_.failover_budget_seconds);
     const support::SleepFn record_sleep = [this](double ms) { backoff_delay_ms_ += ms; };
@@ -294,33 +327,23 @@ bool FleetController::try_place_on(Tenant& tenant, Switch& sw, FleetEventKind ki
                                                   wrapped_profile(tenant));
             std::int64_t bits = layout_bits(rt->compiled());
             tenant.bits_at_level[*tenant.level] = bits;
-            while (bits > free_bits(sw)) {
-                if (*tenant.level >= options_.max_degrade_level) {
-                    fits = false;
-                    return true;  // deterministic does-not-fit; not a failure
+            while (bits > free_bits(sw) && *tenant.level < options_.max_degrade_level) {
+                const int deeper = *tenant.level + 1;
+                const LadderMove move = ladder_step(tenant, *rt, deeper,
+                                                    "fleet: degrade to L" + std::to_string(deeper));
+                if (!move.swap.committed) {
+                    throw Error(Errc::FailoverFailed, "degrade rolled back: " + move.swap.detail);
                 }
-                ++*tenant.level;
-                const runtime::SwapEvent swap =
-                    rt->reconfigure("fleet: degrade to L" + std::to_string(*tenant.level));
-                if (!swap.committed) {
-                    --*tenant.level;
-                    throw Error(Errc::FailoverFailed, "degrade rolled back: " + swap.detail);
-                }
-                const std::int64_t shrunk = layout_bits(rt->compiled());
-                if (shrunk >= bits) {
-                    // Ladder stalled at the floor: the committed epoch has
-                    // the same layout, so reverting the level keeps the
-                    // in-memory level equal to what the event log replays.
-                    --*tenant.level;
-                    fits = false;
-                    return true;
-                }
-                tenant.bits_at_level[*tenant.level] = shrunk;
+                if (!move.moved) break;  // stalled at the floor
                 log_event(FleetEventKind::Degrade, tenant.spec.name, sw.spec.name,
                           *tenant.level,
-                          "profile shrunk " + std::to_string(bits) + " -> " +
-                              std::to_string(shrunk) + " bits");
-                bits = shrunk;
+                          "profile shrunk " + std::to_string(move.before) + " -> " +
+                              std::to_string(move.after) + " bits");
+                bits = move.after;
+            }
+            if (bits > free_bits(sw)) {
+                rt.reset();  // healthy switch, just too small even degraded
+                return true;
             }
             if (support::fault_fires("fleet.swap")) {
                 rt.reset();
@@ -328,8 +351,6 @@ bool FleetController::try_place_on(Tenant& tenant, Switch& sw, FleetEventKind ki
                             "install aborted: fleet.swap fired at commit on '" +
                                 sw.spec.name + "'");
             }
-            fits = true;
-            final_bits = bits;
             return true;
         },
         record_sleep, tenant.stream);
@@ -345,14 +366,9 @@ bool FleetController::try_place_on(Tenant& tenant, Switch& sw, FleetEventKind ki
         return false;
     }
     sw.breaker.record_success();
-    if (!fits) {
-        rt.reset();  // healthy switch, just too small even degraded
-        return false;
-    }
+    if (!rt) return false;
     tenant.rt = std::move(rt);
     tenant.home = sw.spec.name;
-    tenant.bits = final_bits;
-    tenant.epoch_seen = tenant.rt->epoch();
     log_event(kind, tenant.spec.name, sw.spec.name, *tenant.level, why);
     return true;
 }
@@ -363,40 +379,29 @@ bool FleetController::make_room(Switch& sw, std::int64_t need, const std::string
     while (free_bits(sw) < need && progressed) {
         progressed = false;
         // Largest resident that can still descend, ties broken by name.
-        std::vector<Tenant*> residents;
+        std::vector<std::pair<std::int64_t, Tenant*>> residents;
         for (auto& [name, tenant] : tenants_) {
             if (tenant.home == sw.spec.name && *tenant.level < options_.max_degrade_level &&
                 stalled.count(name) == 0) {
-                residents.push_back(&tenant);
+                residents.emplace_back(footprint(tenant), &tenant);
             }
         }
-        std::sort(residents.begin(), residents.end(), [](const Tenant* a, const Tenant* b) {
-            if (a->bits != b->bits) return a->bits > b->bits;
-            return a->spec.name < b->spec.name;
+        std::sort(residents.begin(), residents.end(), [](const auto& a, const auto& b) {
+            if (a.first != b.first) return a.first > b.first;
+            return a.second->spec.name < b.second->spec.name;
         });
-        for (Tenant* resident : residents) {
-            const std::int64_t before = resident->bits;
-            ++*resident->level;
-            const runtime::SwapEvent swap = resident->rt->reconfigure(
-                "fleet: degrade to make room for " + incoming);
-            if (!swap.committed) {
-                --*resident->level;
-                continue;
-            }
-            resident->bits = layout_bits(resident->rt->compiled());
-            resident->epoch_seen = resident->rt->epoch();
-            if (resident->bits >= before) {
-                // Stalled at the floor: same layout committed, so revert
-                // the level to keep the event log replayable.
-                --*resident->level;
+        for (const auto& [bits, resident] : residents) {
+            const LadderMove move = ladder_step(*resident, *resident->rt, *resident->level + 1,
+                                                "fleet: degrade to make room for " + incoming);
+            if (!move.swap.committed) continue;
+            if (!move.moved) {
                 stalled.insert(resident->spec.name);
                 continue;
             }
-            resident->bits_at_level[*resident->level] = resident->bits;
             log_event(FleetEventKind::Degrade, resident->spec.name, sw.spec.name,
                       *resident->level,
-                      "made room for " + incoming + ": " + std::to_string(before) + " -> " +
-                          std::to_string(resident->bits) + " bits");
+                      "made room for " + incoming + ": " + std::to_string(move.before) +
+                          " -> " + std::to_string(move.after) + " bits");
             progressed = true;
             break;  // re-evaluate free space before squeezing further
         }
@@ -423,9 +428,7 @@ bool FleetController::place_tenant(Tenant& tenant, FleetEventKind kind,
             }
         }
     }
-    tenant.rt.reset();
-    tenant.home.clear();
-    tenant.bits = 0;
+    unplace(tenant);
     const char* cause = ranked.empty() ? "no live switch available"
                                        : "degradation ladder exhausted on every live switch";
     log_event(FleetEventKind::Shed, tenant.spec.name, "", *tenant.level,
@@ -455,22 +458,22 @@ bool FleetController::heartbeat_missed(const std::string& name) const {
 
 void FleetController::tick() {
     for (auto& [name, sw] : switches_) sw.breaker.tick();
-    std::vector<std::string> died;
-    for (auto& [name, sw] : switches_) {
-        if (!sw.alive) continue;
-        const bool missed = heartbeat_missed(name);
-        if (detector_.note(name, missed) == Liveness::Dead) died.push_back(name);
+    // Every live switch is probed before any evacuation moves tenants; each
+    // verdict is then noted in name order, so a switch crossing the
+    // threshold this round stays a failover target until its own turn.
+    std::vector<std::pair<std::string, bool>> probes;
+    for (const auto& [name, sw] : switches_) {
+        if (alive(name)) probes.emplace_back(name, heartbeat_missed(name));
     }
-    for (const std::string& name : died) {
-        on_switch_dead(name, "heartbeat: " + std::to_string(options_.health.miss_threshold) +
-                                 " consecutive misses");
+    for (const auto& [name, missed] : probes) {
+        if (detector_.note(name, missed) == Liveness::Dead) {
+            on_switch_dead(name, "heartbeat: " + std::to_string(options_.health.miss_threshold) +
+                                     " consecutive misses");
+        }
     }
 }
 
 void FleetController::on_switch_dead(const std::string& name, const std::string& why) {
-    Switch& sw = switches_.at(name);
-    if (!sw.alive) return;
-    sw.alive = false;
     detector_.declare_dead(name);
     log_event(FleetEventKind::SwitchDead, "", name, 0,
               Error(Errc::SwitchUnavailable, why).what());
@@ -480,9 +483,7 @@ void FleetController::on_switch_dead(const std::string& name, const std::string&
     std::vector<std::string> evacuees;
     for (auto& [tn, tenant] : tenants_) {
         if (tenant.home == name) {
-            tenant.rt.reset();
-            tenant.home.clear();
-            tenant.bits = 0;
+            unplace(tenant);
             evacuees.push_back(tn);
         }
     }
@@ -492,21 +493,14 @@ void FleetController::on_switch_dead(const std::string& name, const std::string&
 }
 
 void FleetController::kill_switch(const std::string& name) {
-    if (switches_.count(name) == 0) {
-        throw Error(Errc::FleetConfig, "unknown switch '" + name + "'");
-    }
-    on_switch_dead(name, "operator kill");
+    (void)switch_ref(name);
+    if (alive(name)) on_switch_dead(name, "operator kill");
 }
 
 void FleetController::revive_switch(const std::string& name) {
-    const auto it = switches_.find(name);
-    if (it == switches_.end()) {
-        throw Error(Errc::FleetConfig, "unknown switch '" + name + "'");
-    }
-    Switch& sw = it->second;
-    if (sw.alive) return;
-    sw.alive = true;
-    sw.breaker = CircuitBreaker(options_.breaker);
+    (void)switch_ref(name);
+    if (alive(name)) return;
+    switches_.at(name).breaker = CircuitBreaker(options_.breaker);
     detector_.reset(name);
     log_event(FleetEventKind::Rejoin, "", name, 0, "switch rejoined");
     restore_capacity();
@@ -526,32 +520,29 @@ void FleetController::restore_capacity() {
         progressed = false;
         for (auto& [name, tenant] : tenants_) {
             if (!tenant.rt || *tenant.level <= 0) continue;
-            Switch& sw = switches_.at(tenant.home);
-            const std::int64_t headroom = free_bits(sw) + tenant.bits;
-            const auto cached = tenant.bits_at_level.find(*tenant.level - 1);
+            const std::string home = tenant.home;
+            const std::int64_t headroom = free_bits(switches_.at(home)) + footprint(tenant);
+            const int level = *tenant.level;
+            const auto cached = tenant.bits_at_level.find(level - 1);
             if (cached != tenant.bits_at_level.end() && cached->second > headroom) continue;
-            const int old_level = *tenant.level;
-            *tenant.level = old_level - 1;
-            const runtime::SwapEvent swap =
-                tenant.rt->reconfigure("fleet: restore to L" + std::to_string(*tenant.level));
-            if (!swap.committed) {
-                *tenant.level = old_level;
+            const LadderMove lift = ladder_step(tenant, *tenant.rt, level - 1,
+                                                "fleet: restore to L" + std::to_string(level - 1));
+            if (!lift.swap.committed) continue;
+            if (lift.after <= headroom) {
+                log_event(FleetEventKind::Restore, name, home, *tenant.level,
+                          "profile restored to " + std::to_string(lift.after) + " bits");
+                progressed = true;
                 continue;
             }
-            const std::int64_t grown = layout_bits(tenant.rt->compiled());
-            if (grown > headroom) {
-                // The window drifted since the cached footprint: fold back.
-                *tenant.level = old_level;
-                tenant.rt->reconfigure("fleet: re-degrade (no head-room)");
-                refresh_bits(tenant);
-                continue;
+            // The window drifted since the cached footprint: fold back. If
+            // that does not take, the tenant serves a lift its home has no
+            // head-room for, so it is re-placed from its journal like a
+            // failed install.
+            if (!ladder_step(tenant, *tenant.rt, level, "fleet: re-degrade (no head-room)").moved) {
+                unplace(tenant);
+                place_tenant(tenant, FleetEventKind::Failover,
+                             "re-placed after a failed fold-back on " + home);
             }
-            tenant.bits = grown;
-            tenant.epoch_seen = tenant.rt->epoch();
-            tenant.bits_at_level[*tenant.level] = grown;
-            log_event(FleetEventKind::Restore, name, tenant.home, *tenant.level,
-                      "profile restored to " + std::to_string(grown) + " bits");
-            progressed = true;
         }
         if (progressed) continue;
         // No tenant could lift in place. If a roomier switch could host a
@@ -563,7 +554,7 @@ void FleetController::restore_capacity() {
             const auto cached = tenant.bits_at_level.find(*tenant.level - 1);
             if (cached == tenant.bits_at_level.end()) continue;
             const std::int64_t need = cached->second;
-            if (need <= free_bits(switches_.at(tenant.home)) + tenant.bits) continue;
+            if (need <= free_bits(switches_.at(tenant.home)) + footprint(tenant)) continue;
             bool roomier = false;
             for (const std::string& cand : candidates()) {
                 if (cand != tenant.home && free_bits(switches_.at(cand)) >= need) {
@@ -572,9 +563,7 @@ void FleetController::restore_capacity() {
                 }
             }
             if (!roomier) continue;
-            tenant.rt.reset();
-            tenant.home.clear();
-            tenant.bits = 0;
+            unplace(tenant);
             if (place_tenant(tenant, FleetEventKind::Failover,
                              "rebalanced to restore head-room")) {
                 progressed = true;
@@ -596,15 +585,12 @@ void FleetController::restore_capacity() {
             Switch& home = switches_.at(tenant.home);
             for (auto& [co_name, co] : tenants_) {
                 if (co_name == name || !co.rt || co.home != tenant.home) continue;
-                if (free_bits(home) + co.bits + tenant.bits < need) continue;  // won't help
+                const std::int64_t co_bits = footprint(co);
+                if (free_bits(home) + co_bits + footprint(tenant) < need) continue;  // won't help
                 for (const std::string& cand : candidates()) {
-                    if (cand == tenant.home || free_bits(switches_.at(cand)) < co.bits) {
-                        continue;
-                    }
+                    if (cand == tenant.home || free_bits(switches_.at(cand)) < co_bits) continue;
                     const std::string old_home = co.home;
-                    co.rt.reset();
-                    co.home.clear();
-                    co.bits = 0;
+                    unplace(co);
                     if (try_place_on(co, switches_.at(cand), FleetEventKind::Failover,
                                      "evicted to free head-room for " + name)) {
                         progressed = true;
@@ -654,7 +640,6 @@ void FleetController::step(const std::string& tenant_name, std::uint64_t key) {
     }
     tenant.driver.step(*tenant.rt, key);
     ++packets_routed_;
-    refresh_bits(tenant);  // drift may have committed a differently-sized epoch
 }
 
 // ---------------------------------------------------------------------------
@@ -708,9 +693,7 @@ std::unique_ptr<FleetController> FleetController::recover(FleetOptions options,
     fleet->events_ = std::move(replayed);
 
     for (const std::string& name : dead) {
-        const auto it = fleet->switches_.find(name);
-        if (it == fleet->switches_.end()) continue;
-        it->second.alive = false;
+        if (fleet->switches_.count(name) == 0) continue;
         fleet->detector_.declare_dead(name);
         rep.notes.push_back("switch '" + name + "' remains dead");
     }
@@ -723,19 +706,14 @@ std::unique_ptr<FleetController> FleetController::recover(FleetOptions options,
             continue;
         }
         std::string home = it != placements.end() ? it->second.home : "";
-        if (!home.empty()) {
-            const auto sw = fleet->switches_.find(home);
-            if (sw == fleet->switches_.end() || !sw->second.alive) home.clear();
-        }
+        if (fleet->switches_.count(home) == 0 || !fleet->alive(home)) home.clear();
         if (!home.empty()) {
             try {
                 tenant.rt = runtime::ElasticRuntime::recover(
                     tenant.spec.name, tenant.driver.source, fleet->tenant_options(tenant),
                     fleet->wrapped_profile(tenant));
                 tenant.home = home;
-                tenant.bits = layout_bits(tenant.rt->compiled());
-                tenant.epoch_seen = tenant.rt->epoch();
-                tenant.bits_at_level[*tenant.level] = tenant.bits;
+                tenant.bits_at_level[*tenant.level] = footprint(tenant);
                 rep.notes.push_back("tenant '" + name + "' restored on '" + home + "'");
                 continue;
             } catch (const support::CompileError& e) {
@@ -775,18 +753,12 @@ bool FleetController::parked(const std::string& tenant) const {
 }
 
 Liveness FleetController::switch_state(const std::string& name) const {
-    if (switches_.count(name) == 0) {
-        throw Error(Errc::FleetConfig, "unknown switch '" + name + "'");
-    }
+    (void)switch_ref(name);
     return detector_.state(name);
 }
 
 BreakerState FleetController::breaker_state(const std::string& name) const {
-    const auto it = switches_.find(name);
-    if (it == switches_.end()) {
-        throw Error(Errc::FleetConfig, "unknown switch '" + name + "'");
-    }
-    return it->second.breaker.state();
+    return switch_ref(name).breaker.state();
 }
 
 std::vector<std::string> FleetController::tenants_on(const std::string& name) const {
@@ -804,7 +776,7 @@ std::uint64_t FleetController::digest(const std::string& tenant_name) const {
 }
 
 std::int64_t FleetController::tenant_bits(const std::string& tenant) const {
-    return tenant_ref(tenant).bits;
+    return footprint(tenant_ref(tenant));
 }
 
 runtime::ElasticRuntime* FleetController::runtime_of(const std::string& tenant) {
@@ -825,7 +797,7 @@ std::string FleetController::to_string() const {
         for (const auto& tn : tenants_on(name)) {
             const Tenant& tenant = tenant_ref(tn);
             out << "    tenant " << tn << " (" << tenant.spec.app << "): L" << *tenant.level
-                << ", " << tenant.bits << " bits, epoch " << tenant.rt->epoch() << "\n";
+                << ", " << footprint(tenant) << " bits, epoch " << tenant.rt->epoch() << "\n";
         }
     }
     for (const auto& [tn, tenant] : tenants_) {

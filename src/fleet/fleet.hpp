@@ -29,6 +29,13 @@
 //   recover    when a switch rejoins, degraded tenants climb back toward
 //              their full profiles and parked tenants are readmitted.
 //
+// Every rung, up or down, is one ladder step: one reconfigure, the old
+// level restored when the swap rolls back or a descent stalls at the floor.
+// A lift that outgrows its head-room folds back; if that fails too, the
+// tenant is re-placed from its journal like a failed install. Footprint
+// (layout_bits of the serving layout) and liveness (the failure detector's
+// verdict) are derived, never stored twice.
+//
 // A dead switch loses its register state, not the compiler's output: the
 // controller keeps every tenant's audited epochs in one EpochCache
 // (runtime/epoch_cache.hpp), so a failover or ladder swap back to a source
@@ -217,15 +224,19 @@ private:
         std::shared_ptr<int> level = std::make_shared<int>(0);
         std::unique_ptr<runtime::ElasticRuntime> rt;
         std::string home;  ///< empty => parked
-        std::int64_t bits = 0;
-        std::uint64_t epoch_seen = 0;  ///< epoch bits was computed at
-        std::map<int, std::int64_t> bits_at_level;  ///< observed footprints
+        std::map<int, std::int64_t> bits_at_level;  ///< last footprint seen per level
         std::uint64_t stream = 0;  ///< backoff jitter stream (stable index)
     };
     struct Switch {
         SwitchSpec spec;
         CircuitBreaker breaker;
-        bool alive = true;
+    };
+    /// What one ladder_step did.
+    struct LadderMove {
+        runtime::SwapEvent swap;  ///< the step's one reconfigure
+        std::int64_t before = 0;  ///< footprint at the level left
+        std::int64_t after = 0;   ///< footprint served after a committed swap
+        bool moved = false;       ///< the tenant is now at the new level
     };
     struct RecoverTag {};
 
@@ -235,12 +246,25 @@ private:
 
     [[nodiscard]] runtime::RuntimeOptions tenant_options(const Tenant& tenant) const;
     [[nodiscard]] runtime::ProfileFn wrapped_profile(const Tenant& tenant) const;
+    /// Placed register bits the tenant's runtime serves; 0 when parked.
+    [[nodiscard]] static std::int64_t footprint(const Tenant& tenant);
+    /// A switch is alive until the failure detector declares it Dead.
+    [[nodiscard]] bool alive(const std::string& name) const;
     [[nodiscard]] std::int64_t free_bits(const Switch& sw) const;
     [[nodiscard]] std::vector<std::string> candidates() const;
 
+    /// The one ladder move: takes `rt` (the tenant's runtime, adopted or
+    /// not) to level `to` with one reconfigure, recording the footprint of
+    /// the level left and, when it moved, of the level reached. A rolled-back
+    /// swap or a descent that did not shrink restores the old level.
+    LadderMove ladder_step(Tenant& tenant, runtime::ElasticRuntime& rt, int to,
+                           const std::string& reason);
+    /// Drops the tenant's runtime (its journal stays), recording the
+    /// footprint it served; the tenant is parked until placed again.
+    void unplace(Tenant& tenant);
     /// One guarded install attempt of `tenant` onto `sw` at its current
     /// level, descending the ladder in place until it fits. On success the
-    /// tenant is adopted (home/bits set). Returns false with the failure
+    /// tenant is adopted (home set). Returns false with the failure
     /// already journaled otherwise.
     bool try_place_on(Tenant& tenant, Switch& sw, FleetEventKind kind, const std::string& why);
     /// Full placement: every candidate, then resident squeezing, then shed.
@@ -253,8 +277,6 @@ private:
     [[nodiscard]] bool heartbeat_missed(const std::string& name) const;
     /// Post-rejoin ascent: readmit parked tenants, lift degraded ones.
     void restore_capacity();
-    /// Refreshes a tenant's bit charge after drift-driven reconfigures.
-    void refresh_bits(Tenant& tenant);
 
     void log_event(FleetEventKind kind, const std::string& tenant, const std::string& where,
                    int level, const std::string& detail);
@@ -262,6 +284,8 @@ private:
 
     [[nodiscard]] Tenant& tenant_ref(const std::string& name);
     [[nodiscard]] const Tenant& tenant_ref(const std::string& name) const;
+    /// Throws Errc::FleetConfig on an unknown switch name.
+    [[nodiscard]] const Switch& switch_ref(const std::string& name) const;
 
     FleetOptions options_;
     std::map<std::string, Switch> switches_;

@@ -1,8 +1,9 @@
 // FleetController end-to-end: admission, failover with journal replay,
 // heartbeat-driven death, breaker-guarded installs, the degradation ladder,
-// shedding, readmission, the epoch cache (cached failover against cold
-// journal recovery, its size bound) — and determinism across solver
-// thread counts.
+// shedding, readmission, the restore paths that fail part-way (a fold-back
+// whose swap rolls back, a refused eviction), the epoch cache (cached
+// failover against cold journal recovery, its size bound) — and
+// determinism across solver thread counts.
 #include "fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -298,6 +299,143 @@ TEST_F(FleetTest, EpochCacheStaysWithinTenantsTimesLadderRungs) {
     }
     EXPECT_GT(fleet.epochs_compiled(), bound) << "the trace must push the cache past its bound";
     EXPECT_GT(fleet.epochs_reused(), 0u);
+}
+
+/// Every tenant's home and level: what FleetController::recover must
+/// rebuild from fleet.log.
+std::vector<std::string> placements(const FleetController& fleet,
+                                    const std::vector<TenantSpec>& tenants) {
+    std::vector<std::string> out;
+    for (const TenantSpec& spec : tenants) {
+        out.push_back(spec.name + "@" + fleet.home_of(spec.name) + " L" +
+                      std::to_string(fleet.level_of(spec.name)));
+    }
+    return out;
+}
+
+void expect_within_capacity(const FleetController& fleet,
+                            const std::vector<SwitchSpec>& switches) {
+    for (const SwitchSpec& sw : switches) {
+        std::int64_t used = 0;
+        for (const std::string& tenant : fleet.tenants_on(sw.name)) {
+            used += fleet.tenant_bits(tenant);
+        }
+        EXPECT_LE(used, sw.capacity_bits) << sw.name << " serves past its capacity";
+    }
+}
+
+const FleetEvent* find_event(const FleetController& fleet, FleetEventKind kind,
+                             const std::string& detail_part) {
+    for (const FleetEvent& event : fleet.events()) {
+        if (event.kind == kind && event.detail.find(detail_part) != std::string::npos) {
+            return &event;
+        }
+    }
+    return nullptr;
+}
+
+TEST_F(FleetTest, FoldBackThatRollsBackReplacesTheTenantFromItsJournal) {
+    // sw0 holds n0 at full profile (131072 bits at the empty-window
+    // profile) but not n0 and p0 together; sw1 never holds a full n0.
+    const std::vector<SwitchSpec> switches = {{"sw0", 140000}, {"sw1", 120000}};
+    const std::vector<TenantSpec> tenants = {{"n0", "netcache"}, {"p0", "precision"}};
+    std::vector<std::string> live;
+    {
+        FleetController fleet(fast_options(dir_), switches, tenants);
+        // p0 fails over onto n0's switch and squeezes n0 to L1, so n0's L0
+        // footprint is priced at the empty-window profile.
+        fleet.kill_switch("sw1");
+        ASSERT_EQ(fleet.level_of("n0"), 1);
+        // 100 distinct keys per window: n0's drifted L0 profile (147456
+        // bits) no longer fits a whole switch; its L1 profile still does.
+        for (std::uint64_t k = 0; k < 1024; ++k) fleet.step("n0", k % 100);
+
+        // The rejoin evicts p0 to sw1 and lifts n0 in place at the stale L0
+        // price. The lift commits and outgrows sw0, and the fold-back's swap
+        // (the second runtime.swap hit) rolls back.
+        support::FaultRegistry::instance().configure("runtime.swap:after=2");
+        fleet.revive_switch("sw1");
+        ASSERT_EQ(support::FaultRegistry::instance().fires("runtime.swap"), 1)
+            << "the rejoin must reach the fold-back";
+        support::FaultRegistry::instance().clear();
+
+        expect_within_capacity(fleet, switches);
+        EXPECT_FALSE(fleet.parked("n0"));
+        EXPECT_NE(find_event(fleet, FleetEventKind::Failover, "failed fold-back"), nullptr)
+            << "a fold-back that did not take must re-place the tenant, journaled";
+        live = placements(fleet, tenants);
+    }
+    const auto recovered = FleetController::recover(fast_options(dir_), switches, tenants);
+    EXPECT_EQ(placements(*recovered, tenants), live);
+}
+
+/// The CI degradation soak in process: 3 capped switches, 6 tenants, sw2
+/// lost at packet 1024 and back at 2048, with `rejoin_faults` armed for the
+/// rejoin alone.
+void drive_soak(FleetController& fleet, const std::string& rejoin_faults) {
+    std::vector<std::string> names;
+    for (const TenantSpec& spec : kSixTenants) names.push_back(spec.name);
+    const auto cluster =
+        workload::split_by_flow(workload::zipf_drifting_trace(3072, 400, 1.2, 31, 4), names, 31);
+    std::uint64_t fed = 0;
+    for (const auto& packet : cluster) {
+        if (fed == 1024) fleet.kill_switch("sw2");
+        if (fed == 2048) {
+            support::FaultRegistry::instance().configure(rejoin_faults);
+            fleet.revive_switch("sw2");
+            support::FaultRegistry::instance().clear();
+        }
+        fleet.step(packet.tenant, packet.key);
+        if (++fed % 256 == 0) fleet.tick();
+    }
+}
+
+TEST_F(FleetTest, RefusedEvictionRestoresTheNeighbourAndReplays) {
+    FleetOptions options = fast_options(dir_);
+    options.backoff.max_attempts = 1;  // one failed install is a refusal
+
+    // Dry run: every install of the rejoin hits fleet.swap once; count them
+    // up to the eviction's.
+    int eviction_hit = 0;
+    {
+        FleetController fleet(options, kBoundedSwitches, kSixTenants);
+        drive_soak(fleet, "");
+        const auto rejoin = std::find_if(fleet.events().begin(), fleet.events().end(),
+                                         [](const FleetEvent& e) {
+                                             return e.kind == FleetEventKind::Rejoin;
+                                         });
+        for (auto it = rejoin; it != fleet.events().end(); ++it) {
+            if (it->kind != FleetEventKind::Failover && it->kind != FleetEventKind::Readmit) {
+                continue;
+            }
+            ++eviction_hit;
+            if (it->detail.find("evicted to free head-room") != std::string::npos) break;
+        }
+        ASSERT_NE(find_event(fleet, FleetEventKind::Failover, "evicted to free head-room"),
+                  nullptr)
+            << "the soak's rejoin must evict a neighbour";
+    }
+    std::filesystem::remove_all(dir_);
+
+    std::vector<std::string> live;
+    {
+        FleetController fleet(options, kBoundedSwitches, kSixTenants);
+        drive_soak(fleet, "fleet.swap:after=" + std::to_string(eviction_hit));
+        const FleetEvent* refused = find_event(fleet, FleetEventKind::FailoverFailed, "");
+        ASSERT_NE(refused, nullptr) << "the eviction install must be refused";
+        const FleetEvent* restored =
+            find_event(fleet, FleetEventKind::Failover, "restored after a refused eviction");
+        ASSERT_NE(restored, nullptr);
+        EXPECT_EQ(restored->tenant, refused->tenant);
+        EXPECT_GT(restored->seq, refused->seq);
+        for (const TenantSpec& spec : kSixTenants) {
+            EXPECT_FALSE(fleet.parked(spec.name)) << spec.name;
+        }
+        expect_within_capacity(fleet, kBoundedSwitches);
+        live = placements(fleet, kSixTenants);
+    }
+    const auto recovered = FleetController::recover(options, kBoundedSwitches, kSixTenants);
+    EXPECT_EQ(placements(*recovered, kSixTenants), live);
 }
 
 std::pair<std::vector<std::string>, std::uint64_t> run_scenario(int threads,
