@@ -24,33 +24,6 @@ double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Rounds the LP solution's integer variables and re-checks feasibility —
-/// a cheap incumbent heuristic that often succeeds on placement models.
-bool try_rounding(const Model& model, const std::vector<double>& lp_values,
-                  std::vector<double>& rounded_out) {
-    std::vector<double> rounded = lp_values;
-    int first_int = -1;
-    for (int j = 0; j < model.num_vars(); ++j) {
-        if (model.var_type(j) == VarType::Continuous) continue;
-        if (first_int < 0) first_int = j;
-        const std::size_t idx = static_cast<std::size_t>(j);
-        rounded[idx] = std::clamp(std::round(rounded[idx]), model.lower_bound(j),
-                                  model.upper_bound(j));
-    }
-    // Fault point: a firing simulates a buggy rounding heuristic — the
-    // incumbent is corrupted and the feasibility re-check is skipped, so the
-    // only thing standing between the bad layout and the user is the audit
-    // gate downstream.
-    if (support::fault_fires("bnb.round")) {
-        if (first_int >= 0) rounded[static_cast<std::size_t>(first_int)] += 1.0;
-        rounded_out = std::move(rounded);
-        return true;
-    }
-    if (!model.is_feasible(rounded, 1e-6)) return false;
-    rounded_out = std::move(rounded);
-    return true;
-}
-
 /// Per-variable branching history: the average objective degradation per
 /// unit of fractionality closed, kept separately for the down and the up
 /// child. Every observation is recorded in the engine's serial commit
@@ -206,6 +179,82 @@ struct NodeOrder {
     }
 };
 
+/// Sweeps per fixing in fix_and_propagate (presolve's root-pass cap).
+constexpr int kFixPasses = 4;
+
+/// Fix-and-propagate primal heuristic. Fixes the integer variables one at a
+/// time, highest branch priority first and then by variable id, and after
+/// each fixing propagates the rows' activity bounds (the BoundPropagator
+/// presolve runs). Model builders create placement variables node by node
+/// with stages ascending (compiler/ilpgen), so this order is list scheduling
+/// at the earliest stage the rows allow: the model's own rows are the
+/// resource, precedence and exclusion checks. Value rule: a prioritized
+/// binary the LP sets positive tries 1 first (the search's own up-first
+/// dive), every other integer its rounded LP value; on a conflict it tries
+/// the other value (the other binary value, or the integer on the far side
+/// of the LP value, one up when it is integral), and when both conflict it
+/// gives up. Once every integer is fixed, one LP over the continuous
+/// remainder completes the assignment, which is kept only if it passes the
+/// model's own feasibility check.
+bool fix_and_propagate(const Model& model, const Node& node, const LpResult& relaxation,
+                       const LpOptions& lp_options, double int_tol, std::vector<double>& out,
+                       std::int64_t& lp_iterations) {
+    std::vector<int> order;
+    for (int j = 0; j < model.num_vars(); ++j) {
+        if (model.var_type(j) != VarType::Continuous) order.push_back(j);
+    }
+    if (order.empty()) return false;
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return model.branch_priority(a) > model.branch_priority(b);
+    });
+
+    BoundPropagator prop(model);
+    std::vector<double> lb = node.lb;
+    std::vector<double> ub = node.ub;
+    for (const int j : order) {
+        const std::size_t js = static_cast<std::size_t>(j);
+        if (lb[js] == ub[js]) continue;  // fixed by propagation
+        const double v = relaxation.values[js];
+        const bool binary = model.var_type(j) == VarType::Binary;
+        const double first = binary && model.branch_priority(j) > 0 && v > int_tol
+                                 ? 1.0
+                                 : std::clamp(std::round(v), lb[js], ub[js]);
+        const std::size_t mark = prop.mark();
+        if (!prop.fix(lb, ub, j, first, kFixPasses).infeasible) continue;
+        prop.undo(lb, ub, mark);
+        const double other = binary ? 1.0 - first : first + (first > v ? -1.0 : 1.0);
+        if (other < lb[js] || other > ub[js] ||
+            prop.fix(lb, ub, j, other, kFixPasses).infeasible) {
+            return false;
+        }
+    }
+
+    // Every integer is fixed: one LP over the continuous remainder, at the
+    // node's own continuous bounds.
+    for (int j = 0; j < model.num_vars(); ++j) {
+        if (model.var_type(j) != VarType::Continuous) continue;
+        lb[static_cast<std::size_t>(j)] = node.lb[static_cast<std::size_t>(j)];
+        ub[static_cast<std::size_t>(j)] = node.ub[static_cast<std::size_t>(j)];
+    }
+    const LpResult lp = solve_lp_sparse(model, &lb, &ub, lp_options);
+    lp_iterations += lp.iterations;
+    if (lp.status != LpStatus::Optimal) return false;
+    std::vector<double> values = lp.values;
+    snap_integers(model, values);
+    // Fault point: a firing simulates a buggy heuristic — the incumbent is
+    // corrupted and the feasibility re-check is skipped, so the only thing
+    // standing between the bad layout and the user is the audit gate
+    // downstream.
+    if (support::fault_fires("bnb.round")) {
+        values[static_cast<std::size_t>(order.front())] += 1.0;
+        out = std::move(values);
+        return true;
+    }
+    if (!model.is_feasible(values, 1e-6)) return false;
+    out = std::move(values);
+    return true;
+}
+
 /// Work-stealing thread pool for batch LP evaluation. Workers (plus the
 /// calling thread) steal task indices from a shared atomic counter, so a
 /// slow LP never serializes the batch behind it. The pool carries no task
@@ -359,6 +408,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                             : std::max(1u, std::thread::hardware_concurrency());
     LpWorkerPool pool(threads - 1);
 
+    int heuristic_runs = 0;
     std::vector<Node> batch;
     std::vector<LpResult> results;
     std::vector<SimplexBasis> captures;
@@ -489,18 +539,22 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                 continue;
             }
 
-            // Incumbent heuristic at the root and occasionally afterwards
-            // (every 64th node, counted in commit order).
-            if (!have_incumbent || (best.nodes & 0x3F) == 0) {
-                std::vector<double> rounded;
-                if (try_rounding(base, lp.values, rounded)) {
-                    const double obj = base.objective().evaluate(rounded);
+            // Primal heuristic at the root and at the next kBestFirstBatch
+            // open nodes, counted in commit order.
+            if (heuristic_runs <= kBestFirstBatch) {
+                ++heuristic_runs;
+                std::vector<double> fixed;
+                if (fix_and_propagate(base, node, lp, lp_options, options.int_tol, fixed,
+                                      best.lp_iterations)) {
+                    const double obj = base.objective().evaluate(fixed);
                     if (!have_incumbent || obj > incumbent_obj.load(std::memory_order_relaxed)) {
                         have_incumbent = true;
                         incumbent_obj.store(obj, std::memory_order_relaxed);
-                        best.values = std::move(rounded);
+                        best.values = std::move(fixed);
                         best.objective = obj;
                     }
+                    // The new incumbent may close this node outright.
+                    if (lp.bound <= prune_cutoff()) continue;
                 }
             }
 

@@ -5,7 +5,7 @@
 // programmatically, or via `p4allc --faults`) decides, deterministically,
 // which hits of which points fire. A firing point simulates the failure the
 // surrounding code guards against — a numerical pivot breakdown, a corrupt
-// incumbent rounding, a failed artifact emission — so tests/resilience/ can
+// heuristic incumbent, a failed artifact emission — so tests/resilience/ can
 // prove every degradation path terminates with an audited layout or a clean
 // structured error.
 //
@@ -30,7 +30,7 @@
 //                    (fires => the solve reports numerical trouble)
 //   bnb.node         branch-and-bound, at node expansion (fires => the
 //                    subtree is abandoned as numerically unresolvable)
-//   bnb.round        incumbent rounding heuristic (fires => the rounded
+//   bnb.round        fix-and-propagate primal heuristic (fires => its
 //                    incumbent is corrupted and NOT feasibility-checked,
 //                    exercising the audit-gated acceptance path)
 //   artifacts.emit   CompileArtifacts assembly (fires => structured throw)
